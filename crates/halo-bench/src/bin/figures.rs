@@ -21,7 +21,7 @@
 //! `BENCH_hotpath.json` — the tracked perf-trajectory datapoint.
 //!
 //! `figures bench-parallel [--quick]` times the epoch-parallel
-//! executor (`MultiCoreDatapath::run_parallel`) at threads=1 vs
+//! executor (`MultiCoreDatapath::run_parallel_with`) at threads=1 vs
 //! threads=N per simulated core count, checks byte-identity, and
 //! writes `BENCH_parallel.json`.
 //!

@@ -6,7 +6,7 @@
 use halo_accel::{AcceleratorConfig, HaloEngine};
 use halo_mem::{MachineConfig, MemorySystem};
 use halo_sim::{fmt_f64, point_seed, SweepPoint, SweepRunner, TextTable};
-use halo_vswitch::{LookupBackend, MultiCoreDatapath, ScalingReport};
+use halo_vswitch::{LookupBackend, MultiCoreDatapath, StreamReport};
 
 /// One scaling data point.
 #[derive(Debug, Clone, Copy)]
@@ -18,7 +18,7 @@ pub struct ScalingPoint {
     /// Rule-churn interval (0 = none).
     pub churn: u64,
     /// The measured report.
-    pub report: ScalingReport,
+    pub report: StreamReport,
 }
 
 fn measure(
@@ -27,7 +27,7 @@ fn measure(
     packets: u64,
     churn: u64,
     seed: u64,
-) -> ScalingReport {
+) -> StreamReport {
     let mut sys = MemorySystem::new(MachineConfig::default());
     let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
     let mut dp = MultiCoreDatapath::new(&mut sys, cores, 5, 4_000, backend, seed);

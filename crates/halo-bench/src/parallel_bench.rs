@@ -2,11 +2,12 @@
 //!
 //! For each simulated core count, runs the multicore RSS/churn workload
 //! once with `threads = 1` and once with `threads = N` through
-//! [`MultiCoreDatapath::run_parallel`], checks that every observable
-//! output — the [`ScalingReport`](halo_vswitch::ScalingReport), the
-//! per-core packet counts, and the master system's full stats counter
-//! set — is byte-identical (the epoch/barrier determinism guarantee),
-//! and reports both wall-clock times as `BENCH_parallel.json`.
+//! [`MultiCoreDatapath::run_parallel_with`], checks that every
+//! observable output — the [`StreamReport`](halo_vswitch::StreamReport),
+//! the per-core packet counts, and the master system's full stats
+//! counter set — is byte-identical (the epoch/barrier determinism
+//! guarantee), and reports both wall-clock times as
+//! `BENCH_parallel.json`.
 //!
 //! Unlike `bench-sweep`, which overlaps *independent* simulation
 //! points, this benchmark parallelizes a *single* simulation: the
@@ -57,7 +58,7 @@ fn outcome(cores: usize, packets: u64, churn_every: u64, threads: usize) -> (Str
     let cfg = MultiCoreConfig::new(cores, 5, 2_000, LookupBackend::Software, 42);
     let mut dp = MultiCoreDatapath::with_config(&mut sys, cfg);
     let t0 = Instant::now();
-    let r = dp.run_parallel(&mut sys, packets, churn_every, threads);
+    let r = dp.run_parallel_with(&mut sys, packets, churn_every, threads, &mut |_| {});
     let wall_s = t0.elapsed().as_secs_f64();
     let mut stats: Vec<(String, u64)> = sys
         .stats()

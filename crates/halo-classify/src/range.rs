@@ -150,12 +150,6 @@ impl FieldRange {
         self.lo <= v && v <= self.hi
     }
 
-    /// Whether `other` lies entirely inside this interval.
-    #[must_use]
-    pub fn covers(&self, other: &FieldRange) -> bool {
-        self.lo <= other.lo && other.hi <= self.hi
-    }
-
     /// Whether the interval pins a single value.
     #[must_use]
     pub fn is_exact(&self) -> bool {
@@ -211,12 +205,6 @@ impl RangeRule {
             .iter()
             .zip(&self.ranges)
             .all(|(f, r)| r.contains(f.extract(key)))
-    }
-
-    /// Whether this rule's region fully contains `other`'s region.
-    #[must_use]
-    pub fn covers(&self, other: &[FieldRange; NUM_FIELDS]) -> bool {
-        self.ranges.iter().zip(other).all(|(a, b)| a.covers(b))
     }
 
     /// A miniflow key inside the rule's region (each field at its lower
@@ -284,7 +272,6 @@ impl RangeRule {
         loop {
             let mut mask_bytes = [0u8; 16];
             let mut key_bytes = [0u8; MINIFLOW_LEN];
-            let mut region = [FieldRange::exact(0); NUM_FIELDS];
             for (i, f) in FIELDS.iter().enumerate() {
                 let (value, fmask) = per_field[i][idx[i]];
                 for b in 0..f.width {
@@ -292,16 +279,10 @@ impl RangeRule {
                     mask_bytes[f.offset + b] = ((fmask >> shift) & 0xFF) as u8;
                 }
                 f.write(&mut key_bytes, value);
-                let span = !fmask & f.max_value();
-                region[i] = FieldRange {
-                    lo: value,
-                    hi: value | span,
-                };
             }
             out.push(PrefixRule {
                 mask: WildcardMask::from_bytes(&mask_bytes),
                 key: FlowKey::from_bytes(&key_bytes),
-                region,
             });
             // Odometer increment over the per-field lists.
             let mut carry = true;
@@ -323,16 +304,13 @@ impl RangeRule {
     }
 }
 
-/// One element of a rule's TSS expansion: a `(mask, key)` pair plus the
-/// hyperrectangle it covers.
+/// One element of a rule's TSS expansion: a `(mask, key)` pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrefixRule {
     /// The tuple mask.
     pub mask: WildcardMask,
     /// The masked key to install.
     pub key: FlowKey,
-    /// The region this prefix covers (for shadow-rule bookkeeping).
-    pub region: [FieldRange; NUM_FIELDS],
 }
 
 /// Greedy maximal-aligned-prefix cover of `[lo, hi]` over a

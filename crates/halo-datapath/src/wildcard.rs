@@ -254,12 +254,18 @@ impl<T: FlowTable> WildcardTable for TupleSpace<T> {
 /// A [`RangeRule`] is decomposed into aligned prefixes per field and
 /// cross-producted ([`RangeRule::tss_expansion`]); each expansion
 /// element is installed in the tuple carrying its mask (created on
-/// first use, the way OVS grows MegaFlow tuples). Because expansion
-/// regions of different rules overlap, every installed entry carries
-/// the *maximum-priority* shadow rule fully covering that entry's
-/// region — sound and complete under [`SearchMode::HighestPriority`],
-/// since each matching rule's own expansion covers every key it
-/// matches.
+/// first use, the way OVS grows MegaFlow tuples). Expansions of
+/// different rules can share an element, so each element records its
+/// *owners* — the live rules whose own expansion contains it — and the
+/// installed entry carries the highest-priority owner (ties to the
+/// earliest-installed rule). Removing a rule re-derives each of its
+/// elements from the owners left.
+///
+/// Range rules are exact only under [`SearchMode::HighestPriority`]:
+/// every rule matching a key owns exactly one element containing that
+/// key, so the maximum over all probed tuples is the best matching
+/// rule. [`SearchMode::FirstMatch`] stops at the first tuple that hits
+/// and may return a lower-priority owner.
 ///
 /// Mixing masked-rule and range-rule APIs on one instance is not
 /// supported (the shadow bookkeeping only tracks range rules); the
@@ -273,12 +279,13 @@ pub struct TssRangeTable {
     /// removal leaves `None`).
     shadow: Vec<Option<RangeRule>>,
     live_ranges: usize,
-    /// Owner refcount per installed expansion entry: how many live
-    /// rules' expansions contain it. An entry exists in the tuple
-    /// tables iff it has at least one owner, and its value is the
-    /// covering winner — so removing a rule hands an entry down to the
-    /// rules still owning it instead of leaking it as a stale match.
-    entries: HashMap<(WildcardMask, FlowKey), usize>,
+    /// Owners per installed expansion entry: the `shadow` indices of
+    /// the live rules whose expansion contains it, in install order. An
+    /// entry exists in the tuple tables iff it has an owner, and its
+    /// value is the best owner's — so removing a rule hands an entry
+    /// down to the rules still owning it instead of leaking it as a
+    /// stale match.
+    entries: HashMap<(WildcardMask, FlowKey), Vec<usize>>,
 }
 
 impl TssRangeTable {
@@ -337,51 +344,44 @@ impl TssRangeTable {
             .push_tuple(Tuple::from_parts(mask.clone(), table))
     }
 
-    /// The highest-priority live shadow rule covering `region` (ties to
-    /// the earliest-installed rule).
-    fn winner_for(&self, region: &[FieldRange; NUM_FIELDS]) -> Option<(u16, u64)> {
-        let mut best: Option<RangeRule> = None;
-        for rule in self.shadow.iter().flatten() {
-            if rule.covers(region) && best.is_none_or(|b| rule.priority > b.priority) {
-                best = Some(*rule);
-            }
-        }
-        best.map(|r| (r.priority, r.action))
-    }
-
-    /// Re-derives the table entry for one registered expansion element:
-    /// installs the covering winner's `(priority, action)`.
+    /// Re-derives the table entry for one owned expansion element:
+    /// installs the highest-priority owner's `(priority, action)` (ties
+    /// to the earliest-installed owner).
     fn refresh_element(
         &mut self,
         mem: &mut SimMemory,
         p: &PrefixRule,
     ) -> Result<(), WildcardError> {
+        // Owners are in install order and `max_by_key` keeps the last
+        // maximum, so scanning them reversed ties to the earliest.
+        let best = self.entries[&(p.mask.clone(), p.key)]
+            .iter()
+            .rev()
+            .map(|&i| self.shadow[i].expect("owners are live"))
+            .max_by_key(|r| r.priority)
+            .expect("an installed element has an owner");
         let idx = self.ensure_tuple(mem, &p.mask);
-        let (priority, action) = self
-            .winner_for(&p.region)
-            .expect("a live owner always covers its own element");
         self.space
-            .insert_rule(mem, idx, &p.key, priority, action)
+            .insert_rule(mem, idx, &p.key, best.priority, best.action)
             .map(|_| ())
             .map_err(WildcardError::from)
     }
 
-    /// Releases one ownership of an expansion element: drops the table
-    /// entry outright when no live rule's expansion contains it
-    /// anymore, otherwise re-derives its winner.
-    fn release_element(&mut self, mem: &mut SimMemory, p: &PrefixRule) {
+    /// Releases rule `owner`'s ownership of an expansion element: drops
+    /// the table entry outright when no live rule's expansion contains
+    /// it anymore, otherwise re-derives it from the remaining owners.
+    fn release_element(&mut self, mem: &mut SimMemory, p: &PrefixRule, owner: usize) {
         let key = (p.mask.clone(), p.key);
         let owners = self.entries.get_mut(&key).expect("releasing a live entry");
-        *owners -= 1;
-        if *owners == 0 {
+        owners.retain(|&o| o != owner);
+        if owners.is_empty() {
             self.entries.remove(&key);
             if let Some(idx) = self.space.tuple_with_mask(&p.mask) {
                 self.space.remove_rule(mem, idx, &p.key);
             }
         } else {
-            // Surviving owners cover the region, so refresh cannot
-            // fail: the slot already exists and is overwritten in
-            // place.
+            // The entry survives, so refresh cannot fail: the slot
+            // already exists and is overwritten in place.
             let _ = self.refresh_element(mem, p);
         }
     }
@@ -446,8 +446,8 @@ impl WildcardTable for TssRangeTable {
             .map_err(WildcardError::from)?;
         if let Some(i) = self.find_shadow(&rule.ranges) {
             // Identical shape: replace in place (same expansion, same
-            // ownerships), then refresh every element — the winner may
-            // have changed.
+            // ownerships), then refresh every element — the best owner
+            // may have changed.
             let old = self.shadow[i].expect("found shadow is live");
             self.shadow[i] = Some(*rule);
             for p in rule.tss_expansion() {
@@ -455,19 +455,23 @@ impl WildcardTable for TssRangeTable {
             }
             return Ok(Some((old.priority, old.action)));
         }
+        let owner = self.shadow.len();
         self.shadow.push(Some(*rule));
         self.live_ranges += 1;
         let expansion = rule.tss_expansion();
         for (done, p) in expansion.iter().enumerate() {
-            *self.entries.entry((p.mask.clone(), p.key)).or_insert(0) += 1;
+            self.entries
+                .entry((p.mask.clone(), p.key))
+                .or_default()
+                .push(owner);
             if let Err(e) = self.refresh_element(mem, p) {
                 // Unwind: drop the rule and release the ownerships
-                // already taken, so the invariant (entry = covering
-                // winner, refcounted by live owners) holds again.
+                // already taken, so the invariant (entry = best of its
+                // live owners) holds again.
                 self.shadow.pop();
                 self.live_ranges -= 1;
                 for q in &expansion[..=done] {
-                    self.release_element(mem, q);
+                    self.release_element(mem, q, owner);
                 }
                 return Err(e);
             }
@@ -480,7 +484,7 @@ impl WildcardTable for TssRangeTable {
         let old = self.shadow[i].take().expect("found shadow is live");
         self.live_ranges -= 1;
         for p in old.tss_expansion() {
-            self.release_element(mem, &p);
+            self.release_element(mem, &p, i);
         }
         Some((old.priority, old.action))
     }

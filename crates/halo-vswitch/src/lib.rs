@@ -33,7 +33,7 @@ mod multicore;
 mod pipeline;
 
 pub use halo_datapath::{WildcardBackend, WildcardError, WildcardMatcher, WildcardTable};
-pub use multicore::{MultiCoreConfig, MultiCoreDatapath, ScalingReport, StreamReport};
+pub use multicore::{MultiCoreConfig, MultiCoreDatapath, StreamReport};
 pub use pipeline::{Breakdown, LookupBackend, SwitchConfig, SwitchCounters, VirtualSwitch};
 
 #[cfg(test)]

@@ -105,7 +105,7 @@ pub struct MultiCoreDatapath {
     rng: SplitMix64,
 }
 
-/// Aggregate result of a streaming (event-driven) multi-core run.
+/// Aggregate result of a multi-core run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StreamReport {
     /// Datapath threads used.
@@ -130,21 +130,6 @@ pub struct StreamReport {
     pub dirty_transfers: u64,
 }
 
-/// Aggregate result of a multi-core run.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalingReport {
-    /// Datapath threads used.
-    pub cores: usize,
-    /// Packets classified in total.
-    pub packets: u64,
-    /// Wall-clock cycles (max over core clocks).
-    pub cycles: u64,
-    /// Aggregate packets per kilocycle.
-    pub throughput_per_kcy: f64,
-    /// Remote-dirty cache-line transfers observed (coherence traffic).
-    pub dirty_transfers: u64,
-}
-
 // The scaling sweep runs whole `MultiCoreDatapath` experiments on
 // worker threads, so the datapath (and the report it produces) must be
 // `Send`. All state is owned values — `Vec`s, `SplitMix64`, the tuple
@@ -154,23 +139,45 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_sync<T: Sync>() {}
     assert_send::<MultiCoreDatapath>();
-    assert_send::<ScalingReport>();
     assert_send::<StreamReport>();
-    // The parallel epoch runner additionally shares the datapath's
-    // tuple space immutably across worker threads and moves per-core
-    // window jobs onto them, so the datapath must also be `Sync` and
-    // the jobs `Send`.
+    // The epoch executor additionally shares the datapath's tuple
+    // space immutably across worker threads and moves per-core window
+    // jobs onto them, so the datapath must also be `Sync` and the jobs
+    // `Send`.
     assert_sync::<MultiCoreDatapath>();
-    assert_sync::<ScalingReport>();
     assert_sync::<StreamReport>();
     assert_send::<WindowJob<'static>>();
 };
 
-/// Packets per epoch window when nothing else bounds one sooner (a
-/// churn point or a control-plane event). Any fixed value yields the
-/// same observable results at every thread count; this one bounds the
-/// per-window event-log memory while keeping barrier overhead small.
+/// Packets per window when no control step bounds one sooner. Any
+/// fixed value yields the same observable results at every thread
+/// count; this one bounds the per-window event-log memory while
+/// keeping barrier overhead small.
 const WINDOW_PKTS: usize = 1024;
+
+/// One step of a run: a traffic event, or
+/// [`run`](MultiCoreDatapath::run)'s periodic revalidator churn.
+enum Step {
+    /// A packet, arrival or expiry from the caller's stream.
+    Event(TrafficEvent),
+    /// Revalidator stores to every probe's version line, timed at the
+    /// clock of the PMD owning this flow (the next packet's).
+    Churn(u64),
+}
+
+/// How a run executes its packet windows.
+enum Executor<'a> {
+    /// Each packet classified in schedule order straight against the
+    /// master memory system, with an optional HALO engine; tracing
+    /// works.
+    Classic(Option<&'a mut HaloEngine>),
+    /// Epoch-parallel windows on `threads` OS threads; `hook` observes
+    /// the master system after every merge.
+    Epoch {
+        threads: usize,
+        hook: &'a mut dyn FnMut(&MemorySystem),
+    },
+}
 
 /// One core's work for one epoch window: its memory-system shard, its
 /// PMD state, and the flows RSS assigned to it this window.
@@ -323,70 +330,248 @@ impl MultiCoreDatapath {
         self.pmds.len()
     }
 
-    /// Classifies one packet on PMD `p` starting at its local clock.
-    /// Returns whether any layer matched.
-    fn classify_one(
-        &mut self,
-        sys: &mut MemorySystem,
-        engine: Option<&mut HaloEngine>,
-        p: usize,
-        flow: u64,
-    ) -> bool {
-        let key = PacketHeader::synthetic(flow).miniflow();
-        let pmd = &mut self.pmds[p];
-        pmd.packets += 1;
-        let out = pmd
-            .dp
-            .classify(sys, engine, &self.megaflow, &key, None, pmd.clock);
-        pmd.clock = out.done;
-        out.action.is_some()
-    }
-
     /// Runs `packets` packets spread across the PMDs by flow hash (RSS),
     /// with a revalidator relocating a rule every `churn_every` packets
     /// (0 disables churn). Returns the aggregate report.
     pub fn run(
         &mut self,
         sys: &mut MemorySystem,
-        mut engine: Option<&mut HaloEngine>,
+        engine: Option<&mut HaloEngine>,
         packets: u64,
         churn_every: u64,
-    ) -> ScalingReport {
+    ) -> StreamReport {
+        self.run_rss(sys, Executor::Classic(engine), packets, churn_every)
+    }
+
+    /// Runs a streaming workload: packets are classified exactly as in
+    /// [`run`](MultiCoreDatapath::run) (RSS by flow hash), while
+    /// arrival/expiry events drive the control plane — rule inserts and
+    /// removes on the shared MegaFlow tables (cuckoo displacement,
+    /// Cuckoo++ filter reversal, EMOMA re-homing under churn), per-core
+    /// EMC invalidation on expiry, and revalidator version-line stores
+    /// for the coherence traffic every table write implies.
+    ///
+    /// Events come from any iterator — typically a
+    /// `StreamingTrafficGen` from `halo-nf` mapped through
+    /// `next_event` — so the datapath stays decoupled from the
+    /// generator. Cost per event is O(1) in the live-flow count.
+    pub fn run_stream(
+        &mut self,
+        sys: &mut MemorySystem,
+        engine: Option<&mut HaloEngine>,
+        events: impl IntoIterator<Item = TrafficEvent>,
+    ) -> StreamReport {
+        self.drive(
+            sys,
+            Executor::Classic(engine),
+            events.into_iter().map(Step::Event),
+        )
+    }
+
+    /// [`run`](Self::run)'s workload under the epoch-parallel executor:
+    /// packets execute in bounded windows on `threads` OS threads, and
+    /// every churn point closes a window so its stores hit the merged
+    /// master state. `barrier_hook` observes the master system after
+    /// every window merge, fully consistent, where auditors can run.
+    ///
+    /// Byte-identical for every `threads` value (`threads = 1` runs the
+    /// same windows inline); its own deterministic interleaving, not
+    /// required to match [`run`](Self::run)'s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a HALO backend is configured or tracing is enabled.
+    pub fn run_parallel_with(
+        &mut self,
+        sys: &mut MemorySystem,
+        packets: u64,
+        churn_every: u64,
+        threads: usize,
+        barrier_hook: &mut dyn FnMut(&MemorySystem),
+    ) -> StreamReport {
+        let exec = Executor::Epoch {
+            threads,
+            hook: barrier_hook,
+        };
+        self.run_rss(sys, exec, packets, churn_every)
+    }
+
+    /// [`run_stream`](Self::run_stream)'s workload under the
+    /// epoch-parallel executor, as [`run_parallel_with`](Self::run_parallel_with)
+    /// runs [`run`](Self::run)'s: every arrival or expiry closes a
+    /// window and applies between windows. Byte-identical for every
+    /// `threads` value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a HALO backend is configured or tracing is enabled.
+    pub fn run_stream_parallel_with(
+        &mut self,
+        sys: &mut MemorySystem,
+        events: impl IntoIterator<Item = TrafficEvent>,
+        threads: usize,
+        barrier_hook: &mut dyn FnMut(&MemorySystem),
+    ) -> StreamReport {
+        let exec = Executor::Epoch {
+            threads,
+            hook: barrier_hook,
+        };
+        self.drive(sys, exec, events.into_iter().map(Step::Event))
+    }
+
+    /// Per-PMD packet counts (for load-balance checks).
+    #[must_use]
+    pub fn per_core_packets(&self) -> Vec<u64> {
+        self.pmds.iter().map(|p| p.packets).collect()
+    }
+
+    /// [`run`](Self::run)'s schedule: `packets` flows drawn from the
+    /// datapath's RNG, a churn step before every `churn_every`-th.
+    fn run_rss(
+        &mut self,
+        sys: &mut MemorySystem,
+        exec: Executor<'_>,
+        packets: u64,
+        churn_every: u64,
+    ) -> StreamReport {
+        let mut rng = self.rng.clone();
+        let flows = self.flows;
+        let steps = (0..packets).flat_map(|i| {
+            let flow = rng.below(flows);
+            let churn = (churn_every > 0 && i % churn_every == 0).then_some(Step::Churn(flow));
+            churn
+                .into_iter()
+                .chain([Step::Event(TrafficEvent::Packet(flow))])
+        });
+        let report = self.drive(sys, exec, steps);
+        self.rng = rng;
+        report
+    }
+
+    /// The one run loop. Packets gather into a window that closes at
+    /// [`WINDOW_PKTS`] or just before any other step; control steps
+    /// then act on the shared tables at the merged master state.
+    fn drive(
+        &mut self,
+        sys: &mut MemorySystem,
+        mut exec: Executor<'_>,
+        steps: impl IntoIterator<Item = Step>,
+    ) -> StreamReport {
+        if matches!(exec, Executor::Epoch { .. }) {
+            self.assert_epoch_capable(sys);
+        }
         let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        for i in 0..packets {
-            let flow = self.rng.below(self.flows);
-            // RSS: flow hash picks the PMD, so one flow stays on one core.
-            let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                % self.pmds.len() as u64) as usize;
-            if churn_every > 0 && i % churn_every == 0 {
-                // The revalidator (a writer on another core) updates the
-                // shared tables: timed stores to every tuple's version
-                // line invalidate the readers' copies — the core-to-core
-                // coherence cost of §3.4.
-                let wcore = CoreId(sys.config().cores - 1);
-                for ti in 0..self.megaflow.probes() {
-                    if let Some(va) = self.megaflow.probe_version_addr(ti) {
-                        let at = self.pmds[p].clock;
-                        sys.access(wcore, va, halo_mem::AccessKind::Store, at);
+        let mut r = StreamReport {
+            cores: self.pmds.len(),
+            ..StreamReport::default()
+        };
+        let mut window: Vec<(u64, usize)> = Vec::with_capacity(WINDOW_PKTS);
+        for step in steps {
+            if !matches!(step, Step::Event(TrafficEvent::Packet(_))) {
+                self.close_window(sys, &mut exec, &mut window, &mut r);
+            }
+            match step {
+                Step::Event(TrafficEvent::Packet(flow)) => {
+                    window.push((flow, self.rss(flow)));
+                    if window.len() >= WINDOW_PKTS {
+                        self.close_window(sys, &mut exec, &mut window, &mut r);
                     }
                 }
+                Step::Churn(flow) => {
+                    // The revalidator (a writer on another core) updates
+                    // the shared tables: timed stores to every probe's
+                    // version line invalidate the readers' copies — the
+                    // core-to-core coherence cost of §3.4.
+                    let at = self.pmds[self.rss(flow)].clock;
+                    for probe in 0..self.megaflow.probes() {
+                        self.revalidate(sys, probe, at);
+                    }
+                }
+                Step::Event(TrafficEvent::Arrival(flow)) => {
+                    let key = PacketHeader::synthetic(flow).miniflow();
+                    let ti = self.tuple_of(flow);
+                    let at = self.front(); // control plane acts "now"
+                    if self
+                        .megaflow
+                        .insert_masked(sys.data_mut(), &self.masks[ti], &key, 0, flow)
+                        .is_err()
+                    {
+                        r.rejected_installs += 1;
+                    }
+                    self.revalidate(sys, ti, at);
+                    r.arrivals += 1;
+                }
+                Step::Event(TrafficEvent::Expiry(flow)) => {
+                    let key = PacketHeader::synthetic(flow).miniflow();
+                    let ti = self.tuple_of(flow);
+                    let at = self.front();
+                    self.megaflow
+                        .remove_masked(sys.data_mut(), &self.masks[ti], &key);
+                    // A torn-down rule's cached exact match must die with
+                    // it on every core, or stale actions keep matching.
+                    for pmd in &mut self.pmds {
+                        pmd.dp.invalidate(sys.data_mut(), &key);
+                    }
+                    self.revalidate(sys, ti, at);
+                    r.expiries += 1;
+                }
             }
-            self.classify_one(sys, engine.as_deref_mut(), p, flow);
         }
-        let cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        ScalingReport {
-            cores: self.pmds.len(),
-            packets,
-            cycles,
-            throughput_per_kcy: 1000.0 * packets as f64 / cycles as f64,
-            dirty_transfers: sys.stats().counter("llc.dirty_snoop") - dirty_before,
+        self.close_window(sys, &mut exec, &mut window, &mut r);
+        r.cycles = self.front().0.max(1);
+        r.throughput_per_kcy = 1000.0 * r.packets as f64 / r.cycles as f64;
+        r.dirty_transfers = sys.stats().counter("llc.dirty_snoop") - dirty_before;
+        r
+    }
+
+    /// Executes and empties the pending window, counting its packets
+    /// and misses into `r`. An empty window is a no-op (no barrier).
+    fn close_window(
+        &mut self,
+        sys: &mut MemorySystem,
+        exec: &mut Executor<'_>,
+        window: &mut Vec<(u64, usize)>,
+        r: &mut StreamReport,
+    ) {
+        if window.is_empty() {
+            return;
         }
+        let matched = match exec {
+            Executor::Classic(engine) => {
+                let mut matched = 0u64;
+                for &(flow, p) in window.iter() {
+                    let key = PacketHeader::synthetic(flow).miniflow();
+                    let pmd = &mut self.pmds[p];
+                    pmd.packets += 1;
+                    let out = pmd.dp.classify(
+                        sys,
+                        engine.as_deref_mut(),
+                        &self.megaflow,
+                        &key,
+                        None,
+                        pmd.clock,
+                    );
+                    pmd.clock = out.done;
+                    matched += u64::from(out.action.is_some());
+                }
+                matched
+            }
+            Executor::Epoch { threads, hook } => {
+                let matched =
+                    Self::run_window(&mut self.pmds, &self.megaflow, sys, window, *threads);
+                hook(sys);
+                matched
+            }
+        };
+        r.packets += window.len() as u64;
+        r.misses += window.len() as u64 - matched;
+        window.clear();
+    }
+
+    /// RSS: the flow hash picks the PMD, so one flow stays on one core.
+    fn rss(&self, flow: u64) -> usize {
+        (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY) % self.pmds.len() as u64)
+            as usize
     }
 
     /// Which mask a flow's rule is installed under (the same
@@ -408,97 +593,15 @@ impl MultiCoreDatapath {
         }
     }
 
-    /// Runs a streaming workload: packets are classified exactly as in
-    /// [`run`](MultiCoreDatapath::run) (RSS by flow hash), while
-    /// arrival/expiry events drive the control plane — rule inserts and
-    /// removes on the shared MegaFlow tables (cuckoo displacement,
-    /// Cuckoo++ filter reversal, EMOMA re-homing under churn), per-core
-    /// EMC invalidation on expiry, and revalidator version-line stores
-    /// for the coherence traffic every table write implies.
-    ///
-    /// Events come from any iterator — typically a
-    /// `StreamingTrafficGen` from `halo-nf` mapped through
-    /// `next_event` — so the datapath stays decoupled from the
-    /// generator. Cost per event is O(1) in the live-flow count.
-    pub fn run_stream(
-        &mut self,
-        sys: &mut MemorySystem,
-        mut engine: Option<&mut HaloEngine>,
-        events: impl IntoIterator<Item = TrafficEvent>,
-    ) -> StreamReport {
-        let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        let mut r = StreamReport {
-            cores: self.pmds.len(),
-            ..StreamReport::default()
-        };
-        for ev in events {
-            match ev {
-                TrafficEvent::Packet(flow) => {
-                    let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                        % self.pmds.len() as u64) as usize;
-                    let hit = self.classify_one(sys, engine.as_deref_mut(), p, flow);
-                    r.packets += 1;
-                    if !hit {
-                        r.misses += 1;
-                    }
-                }
-                TrafficEvent::Arrival(flow) => {
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front(); // control plane acts "now"
-                    if self
-                        .megaflow
-                        .insert_masked(sys.data_mut(), &self.masks[ti], &key, 0, flow)
-                        .is_err()
-                    {
-                        r.rejected_installs += 1;
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.arrivals += 1;
-                }
-                TrafficEvent::Expiry(flow) => {
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front();
-                    self.megaflow
-                        .remove_masked(sys.data_mut(), &self.masks[ti], &key);
-                    // A torn-down rule's cached exact match must die with
-                    // it on every core, or stale actions keep matching.
-                    for pmd in &mut self.pmds {
-                        pmd.dp.invalidate(sys.data_mut(), &key);
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.expiries += 1;
-                }
-            }
-        }
-        r.cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        r.throughput_per_kcy = 1000.0 * r.packets as f64 / r.cycles as f64;
-        r.dirty_transfers = sys.stats().counter("llc.dirty_snoop") - dirty_before;
-        r
-    }
-
     /// The most advanced PMD clock (the streaming control plane's "now").
     fn front(&self) -> Cycle {
         Cycle(self.pmds.iter().map(|p| p.clock.0).max().unwrap_or(0))
     }
 
-    /// Per-PMD packet counts (for load-balance checks).
-    #[must_use]
-    pub fn per_core_packets(&self) -> Vec<u64> {
-        self.pmds.iter().map(|p| p.packets).collect()
-    }
-
-    /// Preconditions of the epoch-parallel runners. HALO engines and
-    /// span tracing both mutate state shared across cores mid-window,
-    /// so parallel execution is software-only and untraced; callers
-    /// needing either stay on the classic [`run`](Self::run) /
+    /// Preconditions of the epoch executor. HALO engines and span
+    /// tracing both mutate state shared across cores mid-window, so
+    /// epoch execution is software-only and untraced; callers needing
+    /// either stay on the classic [`run`](Self::run) /
     /// [`run_stream`](Self::run_stream) paths.
     fn assert_epoch_capable(&self, sys: &MemorySystem) {
         assert!(
@@ -575,209 +678,6 @@ impl MultiCoreDatapath {
         sys.epoch_merge(outcomes);
         matched
     }
-
-    /// [`run`](Self::run)'s workload under the epoch-parallel executor:
-    /// the same RSS packet schedule and revalidator churn, with packets
-    /// executed in bounded windows on `threads` OS threads. Windows
-    /// break exactly at churn points, so every revalidator store is
-    /// applied between windows against the merged master state.
-    ///
-    /// The result is byte-identical for every `threads` value
-    /// (`threads = 1` runs the same windows inline); it is its own
-    /// deterministic interleaving, not required to match the classic
-    /// per-packet interleaving of [`run`](Self::run).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a HALO backend is configured or tracing is enabled —
-    /// see [`run`](Self::run) for those.
-    pub fn run_parallel(
-        &mut self,
-        sys: &mut MemorySystem,
-        packets: u64,
-        churn_every: u64,
-        threads: usize,
-    ) -> ScalingReport {
-        self.run_parallel_with(sys, packets, churn_every, threads, &mut |_| {})
-    }
-
-    /// [`run_parallel`](Self::run_parallel) with a barrier hook: after
-    /// every window merge the hook observes the master system in a
-    /// fully consistent state (no window in flight), where invariant
-    /// auditors can run.
-    pub fn run_parallel_with(
-        &mut self,
-        sys: &mut MemorySystem,
-        packets: u64,
-        churn_every: u64,
-        threads: usize,
-        barrier_hook: &mut dyn FnMut(&MemorySystem),
-    ) -> ScalingReport {
-        self.assert_epoch_capable(sys);
-        let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        // The same RSS draws as `run`, precomputed so that window
-        // partitioning cannot perturb the flow sequence (and the RNG
-        // ends in the same state).
-        let schedule: Vec<(u64, usize)> = (0..packets)
-            .map(|_| {
-                let flow = self.rng.below(self.flows);
-                let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                    % self.pmds.len() as u64) as usize;
-                (flow, p)
-            })
-            .collect();
-        let mut i = 0usize;
-        while i < schedule.len() {
-            if churn_every > 0 && (i as u64).is_multiple_of(churn_every) {
-                // The same revalidator stores `run` issues before
-                // packet i, at the merged clock of packet i's PMD.
-                let p = schedule[i].1;
-                let wcore = CoreId(sys.config().cores - 1);
-                for ti in 0..self.megaflow.probes() {
-                    if let Some(va) = self.megaflow.probe_version_addr(ti) {
-                        let at = self.pmds[p].clock;
-                        sys.access(wcore, va, halo_mem::AccessKind::Store, at);
-                    }
-                }
-            }
-            let mut end = (i + WINDOW_PKTS).min(schedule.len());
-            if let Some(chunk) = (i as u64).checked_div(churn_every) {
-                let next_churn = (chunk + 1) * churn_every;
-                end = end.min(next_churn as usize);
-            }
-            Self::run_window(
-                &mut self.pmds,
-                &self.megaflow,
-                sys,
-                &schedule[i..end],
-                threads,
-            );
-            barrier_hook(sys);
-            i = end;
-        }
-        let cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        ScalingReport {
-            cores: self.pmds.len(),
-            packets,
-            cycles,
-            throughput_per_kcy: 1000.0 * packets as f64 / cycles as f64,
-            dirty_transfers: sys.stats().counter("llc.dirty_snoop") - dirty_before,
-        }
-    }
-
-    /// Flushes the pending packet window of a streaming parallel run.
-    fn flush_stream_window(
-        &mut self,
-        sys: &mut MemorySystem,
-        batch: &mut Vec<(u64, usize)>,
-        threads: usize,
-        r: &mut StreamReport,
-        barrier_hook: &mut dyn FnMut(&MemorySystem),
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        let matched = Self::run_window(&mut self.pmds, &self.megaflow, sys, batch, threads);
-        barrier_hook(sys);
-        r.packets += batch.len() as u64;
-        r.misses += batch.len() as u64 - matched;
-        batch.clear();
-    }
-
-    /// [`run_stream`](Self::run_stream)'s workload under the
-    /// epoch-parallel executor: maximal runs of packet events execute
-    /// as bounded windows on `threads` OS threads; every control-plane
-    /// event (arrival, expiry) is applied between windows against the
-    /// merged master state, exactly as the classic path applies it.
-    /// Byte-identical for every `threads` value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a HALO backend is configured or tracing is enabled.
-    pub fn run_stream_parallel(
-        &mut self,
-        sys: &mut MemorySystem,
-        events: impl IntoIterator<Item = TrafficEvent>,
-        threads: usize,
-    ) -> StreamReport {
-        self.run_stream_parallel_with(sys, events, threads, &mut |_| {})
-    }
-
-    /// [`run_stream_parallel`](Self::run_stream_parallel) with a
-    /// barrier hook, called after every window merge on the consistent
-    /// master state.
-    pub fn run_stream_parallel_with(
-        &mut self,
-        sys: &mut MemorySystem,
-        events: impl IntoIterator<Item = TrafficEvent>,
-        threads: usize,
-        barrier_hook: &mut dyn FnMut(&MemorySystem),
-    ) -> StreamReport {
-        self.assert_epoch_capable(sys);
-        let dirty_before = sys.stats().counter("llc.dirty_snoop");
-        let mut r = StreamReport {
-            cores: self.pmds.len(),
-            ..StreamReport::default()
-        };
-        let mut batch: Vec<(u64, usize)> = Vec::with_capacity(WINDOW_PKTS);
-        for ev in events {
-            match ev {
-                TrafficEvent::Packet(flow) => {
-                    let p = (hash_key(&PacketHeader::synthetic(flow).miniflow(), SEED_PRIMARY)
-                        % self.pmds.len() as u64) as usize;
-                    batch.push((flow, p));
-                    if batch.len() >= WINDOW_PKTS {
-                        self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-                    }
-                }
-                TrafficEvent::Arrival(flow) => {
-                    self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front();
-                    if self
-                        .megaflow
-                        .insert_masked(sys.data_mut(), &self.masks[ti], &key, 0, flow)
-                        .is_err()
-                    {
-                        r.rejected_installs += 1;
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.arrivals += 1;
-                }
-                TrafficEvent::Expiry(flow) => {
-                    self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let ti = self.tuple_of(flow);
-                    let at = self.front();
-                    self.megaflow
-                        .remove_masked(sys.data_mut(), &self.masks[ti], &key);
-                    for pmd in &mut self.pmds {
-                        pmd.dp.invalidate(sys.data_mut(), &key);
-                    }
-                    self.revalidate(sys, ti, at);
-                    r.expiries += 1;
-                }
-            }
-        }
-        self.flush_stream_window(sys, &mut batch, threads, &mut r, barrier_hook);
-        r.cycles = self
-            .pmds
-            .iter()
-            .map(|p| p.clock.0)
-            .max()
-            .unwrap_or(0)
-            .max(1);
-        r.throughput_per_kcy = 1000.0 * r.packets as f64 / r.cycles as f64;
-        r.dirty_transfers = sys.stats().counter("llc.dirty_snoop") - dirty_before;
-        r
-    }
 }
 
 #[cfg(test)]
@@ -786,7 +686,7 @@ mod tests {
     use halo_accel::AcceleratorConfig;
     use halo_mem::MachineConfig;
 
-    fn throughput(cores: usize, backend: LookupBackend, churn: u64) -> ScalingReport {
+    fn throughput(cores: usize, backend: LookupBackend, churn: u64) -> StreamReport {
         let mut sys = MemorySystem::new(MachineConfig::default());
         let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
         let mut dp = MultiCoreDatapath::new(&mut sys, cores, 5, 2_000, backend, 42);

@@ -302,6 +302,31 @@ fn wildcard_stream_agrees_with_range_oracle_on_every_backend() {
         )
         .unwrap_or_else(|t| panic!("{}: {t}", shape.name()));
     }
+    // Removal of a covering winner: N (ports 1024-2047, priority 9)
+    // contains W's (1000-1999, priority 2) element holding port 1200,
+    // so once N is gone that element must answer with W, whichever
+    // rule was installed first.
+    use halo_nfv::check::{wildcard_driver, WildcardOp};
+    use halo_nfv::classify::{FieldRange, PacketHeader, RangeRule};
+    use halo_nfv::datapath::WildcardBackend;
+    let rule = |lo, hi, priority, action| {
+        let mut r = RangeRule::exact_flow(&PacketHeader::synthetic(1).miniflow(), priority, action);
+        r.ranges[3] = FieldRange::span(lo, hi);
+        r
+    };
+    let (w, n) = (rule(1000, 1999, 2, 200), rule(1024, 2047, 9, 900));
+    let port_1200 = WildcardOp::Classify(rule(1200, 1200, 0, 0).point_key());
+    for [first, second] in [[n, w], [w, n]] {
+        let ops = [
+            WildcardOp::Insert(first),
+            WildcardOp::Insert(second),
+            WildcardOp::Remove(n),
+            port_1200.clone(),
+        ];
+        for backend in WildcardBackend::all() {
+            assert_eq!(wildcard_driver(backend, &ops), None, "{}", backend.name());
+        }
+    }
 }
 
 /// The wildcard-ablation matrix must be jobs-invariant too: the same

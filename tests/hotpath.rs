@@ -14,7 +14,7 @@ use halo_nfv::datapath::TableBackend;
 use halo_nfv::mem::{AccessKind, AccessOutcome, Addr, CoreId, MachineConfig, MemorySystem};
 use halo_nfv::sim::{Cycle, SplitMix64};
 use halo_nfv::vswitch::{
-    LookupBackend, MultiCoreConfig, MultiCoreDatapath, ScalingReport, SwitchConfig, VirtualSwitch,
+    LookupBackend, MultiCoreConfig, MultiCoreDatapath, StreamReport, SwitchConfig, VirtualSwitch,
 };
 
 /// A seeded mixed op stream over a working set large enough to exercise
@@ -175,7 +175,7 @@ fn multicore_run(
     backend: LookupBackend,
     table_backend: TableBackend,
     tuples: usize,
-) -> (ScalingReport, Vec<u64>, Vec<(String, u64)>) {
+) -> (StreamReport, Vec<u64>, Vec<(String, u64)>) {
     let mut sys = MemorySystem::new(MachineConfig::default());
     let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
     let mut cfg = MultiCoreConfig::new(4, tuples, 2_000, backend, 0xD1_5C0);
