@@ -12,7 +12,7 @@ use halo_mem::{AccessKind, CoreId, CoreMem, HitLevel};
 use halo_sim::{Cycle, Cycles, OutstandingWindow};
 
 /// Per-level access counters plus attributed stall cycles.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemProfile {
     /// Loads+stores satisfied by L1.
     pub l1: u64,
@@ -53,7 +53,7 @@ impl MemProfile {
 }
 
 /// Result of executing one program.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecReport {
     /// Cycle the first uop issued.
     pub start: Cycle,
@@ -107,8 +107,9 @@ pub struct CoreModel {
     /// thread serialize at retire).
     ready_at: Cycle,
     /// Scratch reused across [`run`](Self::run) calls so the scheduler
-    /// allocates nothing per program (the vswitch runs three programs
-    /// per packet).
+    /// allocates nothing per program (the vswitch runs at least four
+    /// per packet: three phase programs rebuilt into one buffer, plus
+    /// the software lookups).
     completion: Vec<Cycle>,
     load_times: Vec<Cycle>,
     store_times: Vec<Cycle>,
@@ -170,21 +171,31 @@ impl CoreModel {
         self.store_times.clear();
         let mut last_finish = base;
         let mut first_issue: Option<Cycle> = None;
+        let rob = self.rob;
+        let issue_width = self.issue_width;
+        // Issue bandwidth: at most issue_width uops per cycle,
+        // approximated by a fixed program-order pacing floor
+        // `base + i / issue_width`, stepped by a counter instead of a
+        // divide per uop.
+        let mut pace = base;
+        let mut pace_slot = 0;
 
         for (i, uop) in prog.uops().iter().enumerate() {
             // Dataflow readiness.
             let mut ready = base;
-            for &d in &uop.deps {
+            for &d in prog.deps_of(uop) {
                 ready = ready.max(self.completion[d as usize]);
             }
             // ROB window.
-            if i >= self.rob {
-                ready = ready.max(self.completion[i - self.rob]);
+            if i >= rob {
+                ready = ready.max(self.completion[i - rob]);
             }
-            // Issue bandwidth: at most issue_width uops per cycle,
-            // approximated by a fixed program-order pacing floor.
-            let pace = base + Cycles((i / self.issue_width) as u64);
             ready = ready.max(pace);
+            pace_slot += 1;
+            if pace_slot == issue_width {
+                pace_slot = 0;
+                pace += Cycles(1);
+            }
 
             let done = match uop.kind {
                 UopKind::Compute { latency } => ready + Cycles(latency),
@@ -353,6 +364,48 @@ mod tests {
         q.compute(1, &[]);
         core.run(&q, &mut sys, Cycle(0));
         assert!(sys.tracer().histogram("core", "program").is_some());
+    }
+
+    #[test]
+    fn appended_program_runs_like_the_direct_dag() {
+        let (mut sys_a, mut core_a) = setup();
+        let (mut sys_b, mut core_b) = setup();
+        let base = sys_a.data_mut().alloc_lines(64 * 64);
+        assert_eq!(sys_b.data_mut().alloc_lines(64 * 64), base);
+        let line = |i: u64| base + i * 64;
+
+        // Head: two independent loads and a compute joining them.
+        let mut built = Program::new();
+        let h0 = built.load(line(0), &[]);
+        let h1 = built.load(line(1), &[]);
+        let join = built.compute(1, &[h0, h1]);
+        // Tail: two roots, a multi-dependency compute, a store on all.
+        let mut tail = Program::new();
+        let t0 = tail.load(line(2), &[]);
+        let t1 = tail.compute(3, &[]);
+        let t2 = tail.compute(1, &[t0, t1]);
+        tail.store(line(3), &[t0, t1, t2]);
+        built.append(&tail, &[join, h1]);
+
+        // The same DAG written out directly.
+        let mut direct = Program::new();
+        let d0 = direct.load(line(0), &[]);
+        let d1 = direct.load(line(1), &[]);
+        let dj = direct.compute(1, &[d0, d1]);
+        let e0 = direct.load(line(2), &[dj, d1]);
+        let e1 = direct.compute(3, &[dj, d1]);
+        let e2 = direct.compute(1, &[e0, e1]);
+        direct.store(line(3), &[e0, e1, e2]);
+
+        assert_eq!(built.len(), direct.len());
+        for i in 0..built.len() {
+            assert_eq!(built.deps(i), direct.deps(i), "uop {i}");
+        }
+        for at in [Cycle(0), Cycle(500)] {
+            let a = core_a.run(&built, &mut sys_a, at);
+            let b = core_b.run(&direct, &mut sys_b, at);
+            assert_eq!(a, b);
+        }
     }
 
     #[test]

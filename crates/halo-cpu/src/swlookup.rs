@@ -116,12 +116,15 @@ pub fn build_sw_lookup_into(
     let mut arith = 0usize;
     let mut other = 0usize;
 
+    // `last` is the dataflow spine's current frontier: the prologue
+    // loads, then the key, then each trace step's result.
+    let mut last: Vec<UopId> = Vec::with_capacity(16);
+
     // --- Prologue: function entry, packet bookkeeping (filler). -------
-    let mut prologue_last: Vec<UopId> = Vec::new();
     for _ in 0..10 {
         let id = p.load(scratch.next(), &[]);
         loads += 1;
-        prologue_last.push(id);
+        last.push(id);
     }
     for _ in 0..6 {
         p.store(scratch.next(), &[]);
@@ -133,17 +136,15 @@ pub fn build_sw_lookup_into(
     }
 
     // --- Key fetch. ----------------------------------------------------
-    let key_dep: Vec<UopId> = match key_addr {
-        Some(a) => {
-            let id = p.load(a, &[]);
-            loads += 1;
-            vec![id]
-        }
-        None => prologue_last.clone(),
-    };
+    if let Some(a) = key_addr {
+        let id = p.load(a, &[]);
+        loads += 1;
+        set_one(&mut last, id);
+    }
 
     // --- Walk the trace, building the dataflow spine. ------------------
-    let mut last: Vec<UopId> = key_dep.clone();
+    // Both frontiers are reused in place (`set_one`), so the walk
+    // allocates nothing per step.
     let mut hash_done: Vec<UopId> = Vec::new();
     for step in &trace.steps {
         match *step {
@@ -175,8 +176,8 @@ pub fn build_sw_lookup_into(
                     h = p.compute(lat, &[h]);
                     arith += 1;
                 }
-                hash_done = vec![h];
-                last = vec![h];
+                set_one(&mut hash_done, h);
+                set_one(&mut last, h);
             }
             TraceStep::LoadBucket(a) => {
                 // Bucket fetches depend on the hash, not on each other:
@@ -188,7 +189,7 @@ pub fn build_sw_lookup_into(
                 };
                 let id = p.load(a, dep);
                 loads += 1;
-                last = vec![id];
+                set_one(&mut last, id);
             }
             TraceStep::CompareSigs => {
                 // SIMD signature compare + mask extraction + branch.
@@ -197,12 +198,12 @@ pub fn build_sw_lookup_into(
                 arith += 2;
                 let br = p.compute(1, &[c2]);
                 other += 1;
-                last = vec![br];
+                set_one(&mut last, br);
             }
             TraceStep::LoadKv(a) => {
                 let id = p.load(a, &last);
                 loads += 1;
-                last = vec![id];
+                set_one(&mut last, id);
             }
             TraceStep::CompareKey => {
                 let c1 = p.compute(1, &last);
@@ -210,7 +211,7 @@ pub fn build_sw_lookup_into(
                 arith += 2;
                 let br = p.compute(1, &[c2]);
                 other += 1;
-                last = vec![br];
+                set_one(&mut last, br);
             }
             TraceStep::LoadKey(a) => {
                 let id = p.load(a, &[]);
@@ -249,6 +250,13 @@ pub fn build_sw_lookup_into(
     p.store(scratch.next(), &[fin]);
 }
 
+/// Replaces a dependency frontier with the single uop `id`, keeping
+/// the buffer's allocation.
+fn set_one(frontier: &mut Vec<UopId>, id: UopId) {
+    frontier.clear();
+    frontier.push(id);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -266,6 +274,89 @@ mod tests {
         let tr = table.lookup_traced(sys.data_mut(), &FlowKey::synthetic(5, 13), locking);
         let scratch = Scratch::new(&mut sys);
         (sys, tr, scratch)
+    }
+
+    /// FNV-1a over every uop's kind and dependency list.
+    fn program_digest(p: &Program) -> u64 {
+        use crate::uop::UopKind;
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |x: u64| h = (h ^ x).wrapping_mul(0x0100_0000_01b3);
+        for (i, u) in p.uops().iter().enumerate() {
+            match u.kind {
+                UopKind::Compute { latency } => {
+                    eat(0);
+                    eat(latency);
+                }
+                UopKind::Load { addr } => {
+                    eat(1);
+                    eat(addr.0);
+                }
+                UopKind::Store { addr } => {
+                    eat(2);
+                    eat(addr.0);
+                }
+            }
+            let deps = p.deps(i);
+            eat(deps.len() as u64);
+            for &d in deps {
+                eat(u64::from(d));
+            }
+        }
+        h
+    }
+
+    /// The emitted programs (every uop kind, address and dependency
+    /// list) are pinned to digests of the original builder, which
+    /// allocated fresh frontier vectors per trace step. Covers real
+    /// cuckoo traces with and without locking and a synthetic trace
+    /// with every step kind, including a bucket load before any hash.
+    #[test]
+    fn emitted_programs_are_pinned() {
+        use TraceStep::*;
+        let synthetic = LookupTrace {
+            result: Some(7),
+            steps: vec![
+                LoadBucket(Addr(0x2000)),
+                LoadMeta(Addr(0x2040)),
+                SoftLock(Addr(0x2080)),
+                LoadKey(Addr(0x20c0)),
+                Hash,
+                LoadBucket(Addr(0x3000)),
+                LoadBucket(Addr(0x3040)),
+                CompareSigs,
+                LoadKv(Addr(0x3080)),
+                CompareKey,
+                LoadMeta(Addr(0x30c0)),
+                StoreResult(Addr(0x3100)),
+                Hash,
+                LoadKv(Addr(0x3140)),
+                CompareKey,
+            ],
+        };
+        let mut digests = Vec::new();
+        for key in [None, Some(Addr(0x1_0040))] {
+            for locking in [false, true] {
+                let (_sys, tr, mut scratch) = traced_lookup(locking);
+                digests.push(program_digest(&build_sw_lookup(&tr, &mut scratch, key)));
+            }
+            let (_sys, _, mut scratch) = traced_lookup(false);
+            digests.push(program_digest(&build_sw_lookup(
+                &synthetic,
+                &mut scratch,
+                key,
+            )));
+        }
+        assert_eq!(
+            digests,
+            [
+                0x7c93_6341_533a_cca4,
+                0xa080_2346_75c3_cf85,
+                0xac05_0d2c_53dc_4e34,
+                0x607d_085b_9b9e_b6a7,
+                0x365f_e2b5_2f05_a3d2,
+                0x7c46_b240_80df_3256,
+            ]
+        );
     }
 
     #[test]

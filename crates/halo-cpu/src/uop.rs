@@ -27,14 +27,16 @@ pub enum UopKind {
     },
 }
 
-/// One micro-op: an operation plus the set of earlier micro-ops whose
-/// results it consumes.
-#[derive(Debug, Clone)]
+/// One micro-op: an operation plus the range of its program's
+/// dependency pool holding the earlier micro-ops whose results it
+/// consumes (read them with [`Program::deps`]).
+#[derive(Debug, Clone, Copy)]
 pub struct Uop {
     /// What the op does.
     pub kind: UopKind,
-    /// Data dependencies (indices of earlier uops in the same program).
-    pub deps: Vec<UopId>,
+    /// `[dep_start, dep_end)` in the owning program's dependency pool.
+    dep_start: u32,
+    dep_end: u32,
 }
 
 /// A dependency DAG of micro-ops in program order.
@@ -55,6 +57,10 @@ pub struct Uop {
 #[derive(Debug, Clone)]
 pub struct Program {
     uops: Vec<Uop>,
+    /// Every uop's dependencies, back to back in program order; each
+    /// uop records its own range. One pool per program (instead of one
+    /// `Vec` per uop) keeps building allocation-free once warm.
+    deps: Vec<UopId>,
     /// Trace label: the op-class name spans recorded for this program
     /// carry (static so the tracer can intern it without allocating).
     label: &'static str,
@@ -62,10 +68,7 @@ pub struct Program {
 
 impl Default for Program {
     fn default() -> Self {
-        Program {
-            uops: Vec::new(),
-            label: "program",
-        }
+        Program::with_label("program")
     }
 }
 
@@ -81,6 +84,7 @@ impl Program {
     pub fn with_label(label: &'static str) -> Self {
         Program {
             uops: Vec::new(),
+            deps: Vec::new(),
             label,
         }
     }
@@ -90,11 +94,13 @@ impl Program {
         self.label = label;
     }
 
-    /// Empties the program while keeping its uop allocation, so a caller
-    /// can rebuild into the same buffer on every packet without touching
-    /// the allocator. The label is preserved.
+    /// Empties the program while keeping its uop and dependency
+    /// allocations, so a caller can rebuild into the same buffer on
+    /// every packet without touching the allocator. The label is
+    /// preserved.
     pub fn clear(&mut self) {
         self.uops.clear();
+        self.deps.clear();
     }
 
     /// The trace label spans for this program are recorded under.
@@ -108,9 +114,19 @@ impl Program {
         for &d in deps {
             assert!(d < id, "dependency on a later uop");
         }
+        self.deps.extend_from_slice(deps);
+        self.push_uop(kind)
+    }
+
+    /// Appends a uop whose dependencies are the pool entries added since
+    /// the previous uop.
+    fn push_uop(&mut self, kind: UopKind) -> UopId {
+        let id = self.uops.len() as UopId;
+        let dep_start = self.uops.last().map_or(0, |u| u.dep_end);
         self.uops.push(Uop {
             kind,
-            deps: deps.to_vec(),
+            dep_start,
+            dep_end: self.deps.len() as u32,
         });
         id
     }
@@ -137,14 +153,13 @@ impl Program {
     pub fn append(&mut self, other: &Program, after: &[UopId]) -> Option<UopId> {
         let base = self.uops.len() as UopId;
         for uop in &other.uops {
-            let mut deps: Vec<UopId> = uop.deps.iter().map(|d| d + base).collect();
-            if uop.deps.is_empty() {
-                deps.extend_from_slice(after);
+            let deps = other.deps_of(uop);
+            if deps.is_empty() {
+                self.deps.extend_from_slice(after);
+            } else {
+                self.deps.extend(deps.iter().map(|d| d + base));
             }
-            self.uops.push(Uop {
-                kind: uop.kind,
-                deps,
-            });
+            self.push_uop(uop.kind);
         }
         if other.uops.is_empty() {
             None
@@ -157,6 +172,21 @@ impl Program {
     #[must_use]
     pub fn uops(&self) -> &[Uop] {
         &self.uops
+    }
+
+    /// The dependencies of uop `i` (indices of earlier uops).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.len()`.
+    #[must_use]
+    pub fn deps(&self, i: usize) -> &[UopId] {
+        self.deps_of(&self.uops[i])
+    }
+
+    /// The dependencies of `uop`, which must belong to this program.
+    pub(crate) fn deps_of(&self, uop: &Uop) -> &[UopId] {
+        &self.deps[uop.dep_start as usize..uop.dep_end as usize]
     }
 
     /// Number of micro-ops.
@@ -220,9 +250,63 @@ mod tests {
         let last = head.append(&tail, &[root]).unwrap();
         assert_eq!(last, 2);
         // tail's root now depends on head's root.
-        assert_eq!(head.uops()[1].deps, vec![root]);
+        assert_eq!(head.deps(1), [root]);
         // tail's second op depends on the rebased first.
-        assert_eq!(head.uops()[2].deps, vec![1]);
+        assert_eq!(head.deps(2), [1]);
+        assert!(head.deps(0).is_empty());
+    }
+
+    #[test]
+    fn append_rebases_several_dependencies() {
+        let mut head = Program::new();
+        let r0 = head.compute(1, &[]);
+        let r1 = head.load(Addr(64), &[]);
+        let mut tail = Program::new();
+        let a = tail.load(Addr(128), &[]);
+        let b = tail.compute(1, &[]);
+        let c = tail.compute(3, &[a, b]);
+        tail.store(Addr(192), &[a, b, c]);
+        assert_eq!(head.append(&tail, &[r0, r1]), Some(5));
+        // Both of tail's roots take the whole `after` list...
+        assert_eq!(head.deps(2), [r0, r1]);
+        assert_eq!(head.deps(3), [r0, r1]);
+        // ...and multi-dependency uops keep every edge, shifted by 2.
+        assert_eq!(head.deps(4), [2, 3]);
+        assert_eq!(head.deps(5), [2, 3, 4]);
+        let kinds: Vec<UopKind> = head.uops().iter().map(|u| u.kind).collect();
+        assert_eq!(kinds[5], UopKind::Store { addr: Addr(192) });
+    }
+
+    /// Builds a fixed program with a mix of dependency shapes.
+    fn build_mixed(p: &mut Program) {
+        let mut last = p.load(Addr(64), &[]);
+        for i in 0..50u64 {
+            let l = p.load(Addr(64 * (i + 2)), &[]);
+            let c = p.compute(1, &[last, l]);
+            last = p.compute(3, &[c]);
+            p.store(Addr(64), &[last, l, c]);
+        }
+    }
+
+    #[test]
+    fn rebuilding_after_clear_keeps_capacities() {
+        let mut p = Program::with_label("rebuild");
+        build_mixed(&mut p);
+        let first: Vec<(UopKind, Vec<UopId>)> = (0..p.len())
+            .map(|i| (p.uops()[i].kind, p.deps(i).to_vec()))
+            .collect();
+        let caps = (p.uops.capacity(), p.deps.capacity());
+        for _ in 0..3 {
+            p.clear();
+            assert!(p.is_empty());
+            build_mixed(&mut p);
+            assert_eq!((p.uops.capacity(), p.deps.capacity()), caps);
+        }
+        assert_eq!(p.label(), "rebuild");
+        let again: Vec<(UopKind, Vec<UopId>)> = (0..p.len())
+            .map(|i| (p.uops()[i].kind, p.deps(i).to_vec()))
+            .collect();
+        assert_eq!(again, first);
     }
 
     #[test]

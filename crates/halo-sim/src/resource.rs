@@ -8,6 +8,9 @@
 //! Pipelined units have occupancy < latency; unpipelined ones have
 //! occupancy == latency.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::cycle::{Cycle, Cycles};
 
 /// A single-server, in-order resource with configurable initiation
@@ -84,15 +87,45 @@ impl Resource {
 
     /// Reserves the first idle window of `self.occupancy` cycles at or
     /// after `at`, returning its start.
+    #[inline]
     fn reserve(&mut self, at: Cycle) -> Cycle {
         let need = self.occupancy.0;
         let mut start = at.0.max(self.floor);
+        // Tail fast path. The intervals are sorted and disjoint, so when
+        // the request starts at or after the last interval's start, every
+        // earlier interval ends at or before `start` and only the last
+        // one can delay it: the general walk would bump `start` to the
+        // last interval's end at most, then append or merge. Doing that
+        // directly skips the search, the insert and the merge removes.
+        // Dependent chains and same-cycle bursts (several loads per
+        // cycle on one bank) arrive this way almost always.
+        match self.intervals.last_mut() {
+            Some(last) if start >= last.0 => {
+                start = start.max(last.1);
+                if start == last.1 {
+                    last.1 += need;
+                } else {
+                    self.intervals.push((start, start + need));
+                    self.compact();
+                }
+            }
+            _ => start = self.reserve_gap(start),
+        }
+        self.served += 1;
+        self.busy += self.occupancy;
+        Cycle(start)
+    }
+
+    /// The general reservation for a request starting no earlier than
+    /// `start`: the first gap in the interval list that fits it. Only
+    /// out-of-order arrivals (before the last interval starts) and the
+    /// first request after a reset come here.
+    #[inline(never)]
+    fn reserve_gap(&mut self, mut start: u64) -> u64 {
+        let need = self.occupancy.0;
         // Intervals ending at or before `start` cannot constrain the
         // reservation (they satisfy neither the gap test nor the bump
-        // test below), so skip them wholesale. Dependent-chain callers
-        // arrive in nondecreasing time, which lands this binary search
-        // at the tail and makes the common serve O(log n) instead of a
-        // full walk.
+        // test below), so a binary search skips them wholesale.
         let first = self.intervals.partition_point(|&(_, e)| e <= start);
         // Walk the remaining intervals (sorted) looking for a gap.
         let mut insert_at = self.intervals.len();
@@ -117,15 +150,17 @@ impl Resource {
             let cur = self.intervals.remove(insert_at);
             self.intervals[insert_at - 1].1 = self.intervals[insert_at - 1].1.max(cur.1);
         }
-        // Compact old history: requests rarely arrive far in the past.
+        self.compact();
+        start
+    }
+
+    /// Compacts old history: requests rarely arrive far in the past.
+    fn compact(&mut self) {
         if self.intervals.len() > MAX_INTERVALS {
             let drop = self.intervals.len() - MAX_INTERVALS / 2;
             self.floor = self.intervals[drop - 1].1;
             self.intervals.drain(..drop);
         }
-        self.served += 1;
-        self.busy += self.occupancy;
-        Cycle(start)
     }
 
     /// Serves a request arriving at `at`; returns its completion time.
@@ -133,6 +168,7 @@ impl Resource {
     /// The request occupies the first idle window of `occupancy` cycles
     /// at or after `at` and completes `latency` cycles after it starts
     /// service.
+    #[inline]
     pub fn serve(&mut self, at: Cycle) -> Cycle {
         self.reserve(at) + self.latency
     }
@@ -140,6 +176,7 @@ impl Resource {
     /// Like [`serve`](Self::serve) but with a request-specific latency
     /// (occupancy still fixed); used where service time depends on the
     /// request (e.g. DRAM row hit vs miss).
+    #[inline]
     pub fn serve_with_latency(&mut self, at: Cycle, latency: Cycles) -> Cycle {
         self.reserve(at) + latency
     }
@@ -232,6 +269,7 @@ impl BankedResource {
     }
 
     /// Serves a request on bank `bank % n`.
+    #[inline]
     pub fn serve(&mut self, bank: usize, at: Cycle) -> Cycle {
         let n = self.banks.len();
         self.banks[bank % n].serve(at)
@@ -268,12 +306,15 @@ impl BankedResource {
 /// load/store-queue entries).
 ///
 /// Completion times are tracked so a new acquisition at time `t` blocks
-/// until the oldest outstanding operation has completed.
+/// until the earliest outstanding operation has completed.
 #[derive(Debug, Clone)]
 pub struct OutstandingWindow {
     capacity: usize,
-    /// Completion times of in-flight operations (unordered).
-    inflight: Vec<Cycle>,
+    /// Completion times of in-flight operations, earliest on top. Only
+    /// the multiset of times matters to [`acquire`](Self::acquire) and
+    /// [`drain_time`](Self::drain_time), so a heap answers both
+    /// exactly while expiring and stalling in O(log n).
+    inflight: BinaryHeap<Reverse<Cycle>>,
     stalls: u64,
 }
 
@@ -288,7 +329,7 @@ impl OutstandingWindow {
         assert!(capacity > 0, "zero-capacity window");
         OutstandingWindow {
             capacity,
-            inflight: Vec::with_capacity(capacity),
+            inflight: BinaryHeap::with_capacity(capacity),
             stalls: 0,
         }
     }
@@ -298,33 +339,30 @@ impl OutstandingWindow {
     /// [`commit`](Self::commit) the operation's completion time.
     pub fn acquire(&mut self, at: Cycle) -> Cycle {
         // Drop entries that completed by `at`.
-        self.inflight.retain(|&c| c > at);
+        while self.inflight.peek().is_some_and(|&Reverse(c)| c <= at) {
+            self.inflight.pop();
+        }
         if self.inflight.len() < self.capacity {
             return at;
         }
-        // Must wait for the earliest completion.
-        let (idx, &earliest) = self
-            .inflight
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, c)| **c)
-            .expect("window full implies non-empty");
-        self.inflight.swap_remove(idx);
+        // Must wait for the earliest completion (later than `at`, since
+        // everything up to `at` was just dropped).
+        let Reverse(earliest) = self.inflight.pop().expect("window full implies non-empty");
         self.stalls += 1;
-        earliest.max(at)
+        earliest
     }
 
     /// Registers the completion time of an operation whose slot was
     /// acquired.
     pub fn commit(&mut self, completes_at: Cycle) {
-        self.inflight.push(completes_at);
+        self.inflight.push(Reverse(completes_at));
     }
 
     /// The completion time of the last outstanding operation, i.e. when
     /// the window fully drains (`at` if already empty).
     #[must_use]
     pub fn drain_time(&self, at: Cycle) -> Cycle {
-        self.inflight.iter().copied().fold(at, Cycle::max)
+        self.inflight.iter().fold(at, |m, &Reverse(c)| m.max(c))
     }
 
     /// Number of times acquisition had to wait for a completion.

@@ -11,7 +11,7 @@ use halo_accel::HaloEngine;
 use halo_classify::{
     Emc, PacketHeader, RangeRule, RuleError, RuleMatch, SearchMode, TupleSpace, WildcardMask,
 };
-use halo_cpu::Program;
+use halo_cpu::{ExecReport, Program};
 use halo_datapath::{
     DatapathCore, LookupExecutor, NbRegion, TableBackend, WildcardBackend, WildcardError,
     WildcardMatcher, WildcardTable,
@@ -190,6 +190,9 @@ pub struct VirtualSwitch {
     masks: Vec<WildcardMask>,
     openflow: Option<TupleSpace>,
     ring: PacketRing,
+    /// The fixed phase programs, rebuilt in place for every phase so
+    /// packets allocate nothing.
+    phase_buf: Program,
     breakdown: Breakdown,
     counters: SwitchCounters,
 }
@@ -233,6 +236,7 @@ impl VirtualSwitch {
             masks: cfg.megaflow_masks,
             openflow,
             ring,
+            phase_buf: Program::new(),
             breakdown: Breakdown::default(),
             counters: SwitchCounters::default(),
         }
@@ -358,14 +362,23 @@ impl VirtualSwitch {
         }
     }
 
-    /// Filler program for the fixed pipeline phases: `uops` micro-ops
-    /// with a sprinkling of buffer loads.
-    fn phase_program(&mut self, loads: &[Addr], uops: usize) -> Program {
-        let mut p = Program::new();
+    /// Runs a filler program for one fixed pipeline phase: `uops`
+    /// micro-ops with a sprinkling of buffer loads, built into the
+    /// switch's reusable phase buffer.
+    fn run_phase(
+        &mut self,
+        sys: &mut MemorySystem,
+        loads: &[Addr],
+        uops: usize,
+        at: Cycle,
+    ) -> ExecReport {
+        let p = &mut self.phase_buf;
+        p.clear();
         for &a in loads {
             p.load(a, &[]);
         }
-        let scratch = self.dp.exec_mut().scratch_mut();
+        let exec = self.dp.exec_mut();
+        let scratch = exec.scratch_mut();
         let n_loads = (uops / 5).saturating_sub(loads.len());
         for _ in 0..n_loads {
             p.load(scratch.next(), &[]);
@@ -373,7 +386,7 @@ impl VirtualSwitch {
         for _ in 0..(uops - uops / 5 - loads.len().min(uops)) {
             p.compute(1, &[]);
         }
-        p
+        exec.run(p, sys, at)
     }
 
     /// Processes one packet. `engine` must be provided for the HALO
@@ -395,8 +408,7 @@ impl VirtualSwitch {
 
         // --- Packet IO (RX + queueing): DDIO delivery + driver work. ---
         let buf = self.ring.receive(sys, header);
-        let io_prog = self.phase_program(&[buf], 440);
-        let r = self.dp.exec_mut().run(&io_prog, sys, at);
+        let r = self.run_phase(sys, &[buf], 440, at);
         let mut t = r.finish;
         self.breakdown.io += r.duration();
         if sys.trace_enabled() {
@@ -405,8 +417,7 @@ impl VirtualSwitch {
 
         // --- Pre-processing: miniflow extraction over the header. ------
         let pre_start = t;
-        let pre_prog = self.phase_program(&[buf], 170);
-        let r = self.dp.exec_mut().run(&pre_prog, sys, t);
+        let r = self.run_phase(sys, &[buf], 170, t);
         t = r.finish;
         self.breakdown.preproc += r.duration();
         if sys.trace_enabled() {
@@ -481,8 +492,7 @@ impl VirtualSwitch {
 
         // --- Action execution + bookkeeping. ------------------------------
         let other_start = t;
-        let other_prog = self.phase_program(&[], 140);
-        let r = self.dp.exec_mut().run(&other_prog, sys, t);
+        let r = self.run_phase(sys, &[], 140, t);
         self.breakdown.other += r.duration();
         t = r.finish;
         if sys.trace_enabled() {

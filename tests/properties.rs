@@ -14,7 +14,7 @@ use halo_nfv::classify::{
 };
 use halo_nfv::kvstore::KvStore;
 use halo_nfv::mem::{AccessKind, CoreId, MachineConfig, MemorySystem, SimMemory};
-use halo_nfv::sim::{point_seed, Cycle, Cycles, Resource, SplitMix64};
+use halo_nfv::sim::{point_seed, Cycle, Cycles, OutstandingWindow, Resource, SplitMix64};
 use halo_nfv::tables::{CuckooTable, FlowKey, SfhTable};
 use halo_nfv::tcam::{TcamEntry, TcamTable};
 use std::collections::HashMap;
@@ -274,6 +274,185 @@ fn resource_reservations_are_causal() {
         for w in spans.windows(2) {
             assert!(w[0].1 <= w[1].0, "overlapping reservations {w:?}");
         }
+    }
+}
+
+/// `Resource`'s compaction threshold (intervals kept before the oldest
+/// are folded into the floor); the reference below must use the same.
+const MAX_INTERVALS: usize = 256;
+
+/// Reference copy of the general `Resource` reservation walk, with no
+/// tail fast path: binary-search past intervals that end at or before
+/// the request, walk for the first gap, insert, merge touching
+/// neighbours, compact.
+struct RefResource {
+    latency: u64,
+    occupancy: u64,
+    intervals: Vec<(u64, u64)>,
+    floor: u64,
+    served: u64,
+    busy: u64,
+}
+
+impl RefResource {
+    fn new(latency: u64, occupancy: u64) -> Self {
+        RefResource {
+            latency,
+            occupancy,
+            intervals: Vec::new(),
+            floor: 0,
+            served: 0,
+            busy: 0,
+        }
+    }
+
+    fn reserve(&mut self, at: u64) -> u64 {
+        let need = self.occupancy;
+        let mut start = at.max(self.floor);
+        let first = self.intervals.partition_point(|&(_, e)| e <= start);
+        let mut insert_at = self.intervals.len();
+        for (i, &(s, e)) in self.intervals.iter().enumerate().skip(first) {
+            if start + need <= s {
+                insert_at = i;
+                break;
+            }
+            if start < e {
+                start = e;
+            }
+        }
+        self.intervals.insert(insert_at, (start, start + need));
+        if insert_at + 1 < self.intervals.len()
+            && self.intervals[insert_at].1 >= self.intervals[insert_at + 1].0
+        {
+            let next = self.intervals.remove(insert_at + 1);
+            self.intervals[insert_at].1 = self.intervals[insert_at].1.max(next.1);
+        }
+        if insert_at > 0 && self.intervals[insert_at - 1].1 >= self.intervals[insert_at].0 {
+            let cur = self.intervals.remove(insert_at);
+            self.intervals[insert_at - 1].1 = self.intervals[insert_at - 1].1.max(cur.1);
+        }
+        if self.intervals.len() > MAX_INTERVALS {
+            let drop = self.intervals.len() - MAX_INTERVALS / 2;
+            self.floor = self.intervals[drop - 1].1;
+            self.intervals.drain(..drop);
+        }
+        self.served += 1;
+        self.busy += need;
+        start
+    }
+
+    fn next_free(&self) -> u64 {
+        self.intervals.last().map_or(self.floor, |&(_, e)| e)
+    }
+}
+
+/// `Resource` (with its tail fast path) schedules exactly like the
+/// general reservation walk. Arrivals are placed relative to the last
+/// busy interval — before it, inside it, at its end, just after it, or
+/// behind the compaction floor — and each case makes enough
+/// reservations to compact several times, so floor bumps run too.
+#[test]
+fn resource_tail_path_matches_reference_walk() {
+    for mut rng in case_rngs("properties.resource_tail_differential") {
+        let occupancy = 1 + rng.below(8);
+        let latency = occupancy + rng.below(20);
+        let mut r = Resource::new("diff", Cycles(latency), Cycles(occupancy));
+        let mut model = RefResource::new(latency, occupancy);
+        let mut compactions = 0;
+        for step in 0..6 * MAX_INTERVALS {
+            let (last_start, last_end) = model.intervals.last().copied().unwrap_or((0, 0));
+            let at = match rng.below(10) {
+                // Somewhere before the last interval (gap filling).
+                0 | 1 => rng.below(last_start + 1),
+                // Inside the last interval.
+                2 | 3 => last_start + rng.below(last_end - last_start + 1),
+                // Exactly at its end.
+                4 => last_end,
+                // Behind the floor: bumped to it.
+                5 => model.floor.saturating_sub(rng.below(4)),
+                // After it, leaving a gap so intervals accumulate.
+                _ => last_end + 1 + rng.below(3 * occupancy),
+            };
+            let floor_before = model.floor;
+            let (got, want) = if rng.chance(0.2) {
+                let lat = Cycles(1 + rng.below(40));
+                (
+                    r.serve_with_latency(Cycle(at), lat),
+                    model.reserve(at) + lat.0,
+                )
+            } else {
+                (r.serve(Cycle(at)), model.reserve(at) + model.latency)
+            };
+            compactions += u64::from(model.floor != floor_before);
+            assert_eq!(got, Cycle(want), "step {step}: arrival {at}");
+            assert_eq!(r.served(), model.served);
+            assert_eq!(r.busy(), Cycles(model.busy));
+            assert_eq!(r.next_free(), Cycle(model.next_free()));
+        }
+        assert!(compactions >= 2, "only {compactions} compactions");
+    }
+}
+
+/// Reference copy of the `Vec` + `retain` outstanding window.
+struct RefWindow {
+    capacity: usize,
+    inflight: Vec<u64>,
+    stalls: u64,
+}
+
+impl RefWindow {
+    fn acquire(&mut self, at: u64) -> u64 {
+        self.inflight.retain(|&c| c > at);
+        if self.inflight.len() < self.capacity {
+            return at;
+        }
+        let (idx, &earliest) = self
+            .inflight
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| **c)
+            .expect("window full implies non-empty");
+        self.inflight.swap_remove(idx);
+        self.stalls += 1;
+        earliest.max(at)
+    }
+
+    fn drain_time(&self, at: u64) -> u64 {
+        self.inflight.iter().copied().fold(at, u64::max)
+    }
+}
+
+/// `OutstandingWindow` (a min-heap of completion times) agrees with a
+/// `Vec` + `retain` window on every acquisition, the stall count and
+/// the drain time, with arrivals that mostly advance but sometimes step
+/// back, and completion times that tie, expire early, or run long.
+#[test]
+fn outstanding_window_matches_reference() {
+    for mut rng in case_rngs("properties.window_differential") {
+        let capacity = 1 + rng.below(20) as usize;
+        let mut w = OutstandingWindow::new(capacity);
+        let mut model = RefWindow {
+            capacity,
+            inflight: Vec::new(),
+            stalls: 0,
+        };
+        let mut t = 0u64;
+        for step in 0..2000 {
+            t = match rng.below(8) {
+                0 => t.saturating_sub(rng.below(30)),
+                1 => t + rng.below(200),
+                _ => t + rng.below(3),
+            };
+            let issue = w.acquire(Cycle(t));
+            assert_eq!(issue, Cycle(model.acquire(t)), "step {step}: at {t}");
+            let done = issue.0 + [1, 4, 14, 60, 250][rng.below(5) as usize];
+            w.commit(Cycle(done));
+            model.inflight.push(done);
+            assert_eq!(w.stalls(), model.stalls);
+            let probe = t + rng.below(300);
+            assert_eq!(w.drain_time(Cycle(probe)), Cycle(model.drain_time(probe)));
+        }
+        assert!(model.stalls > 0, "capacity {capacity} never stalled");
     }
 }
 
