@@ -66,16 +66,27 @@ impl LineMeta {
     }
 }
 
-/// What happened to a victim on insertion.
+/// What happened to a victim on insertion. A displaced line carries
+/// its directory sharers mask, so an inclusive cache back-invalidates
+/// only the cores that may hold a copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Eviction {
     /// No line was displaced.
     None,
     /// A clean line was silently dropped.
-    Clean(LineAddr),
-    /// A dirty line must be written back; carries its sharers mask so
-    /// inclusive caches can back-invalidate.
-    Dirty(LineAddr),
+    Clean {
+        /// The victim line.
+        line: LineAddr,
+        /// The victim's sharers mask (LLC directory only; 0 elsewhere).
+        sharers: u64,
+    },
+    /// A dirty line must be written back.
+    Dirty {
+        /// The victim line.
+        line: LineAddr,
+        /// The victim's sharers mask (LLC directory only; 0 elsewhere).
+        sharers: u64,
+    },
 }
 
 /// A set-associative array with strict-LRU replacement.
@@ -211,9 +222,10 @@ impl CacheArray {
         let victim = victim_unlocked.unwrap_or(victim_any);
         self.tags[victim] = line.0;
         let old = std::mem::replace(&mut self.meta[victim], meta);
+        let (line, sharers) = (old.line, old.sharers);
         match old.state {
-            LineState::Modified => Eviction::Dirty(old.line),
-            LineState::Shared => Eviction::Clean(old.line),
+            LineState::Modified => Eviction::Dirty { line, sharers },
+            LineState::Shared => Eviction::Clean { line, sharers },
         }
     }
 
@@ -321,7 +333,13 @@ mod tests {
         // Touch `a` so `b` becomes LRU.
         assert!(c.lookup(a).is_some());
         let ev = c.insert(d, LineState::Shared);
-        assert_eq!(ev, Eviction::Clean(b));
+        assert_eq!(
+            ev,
+            Eviction::Clean {
+                line: b,
+                sharers: 0
+            }
+        );
         assert!(c.peek(a).is_some());
         assert!(c.peek(b).is_none());
     }
@@ -334,7 +352,32 @@ mod tests {
         c.insert(b, LineState::Shared);
         assert!(c.lookup(b).is_some()); // make `a` LRU
         let ev = c.insert(d, LineState::Shared);
-        assert_eq!(ev, Eviction::Dirty(a));
+        assert_eq!(
+            ev,
+            Eviction::Dirty {
+                line: a,
+                sharers: 0
+            }
+        );
+    }
+
+    #[test]
+    fn eviction_carries_victim_sharers() {
+        let mut c = tiny();
+        let (a, b, d) = same_set_lines(&c);
+        c.insert(a, LineState::Shared);
+        c.peek_mut(a).unwrap().sharers = 0b1010;
+        c.insert(b, LineState::Shared);
+        let ev = c.insert(d, LineState::Shared);
+        assert_eq!(
+            ev,
+            Eviction::Clean {
+                line: a,
+                sharers: 0b1010
+            }
+        );
+        // The new line starts with an empty mask.
+        assert_eq!(c.peek(d).unwrap().sharers, 0);
     }
 
     #[test]
@@ -346,7 +389,13 @@ mod tests {
         c.insert(b, LineState::Shared);
         // `a` is LRU but locked, so `b` must be the victim.
         let ev = c.insert(d, LineState::Shared);
-        assert_eq!(ev, Eviction::Clean(b));
+        assert_eq!(
+            ev,
+            Eviction::Clean {
+                line: b,
+                sharers: 0
+            }
+        );
         assert!(c.peek(a).is_some());
     }
 
@@ -360,7 +409,13 @@ mod tests {
         c.peek_mut(b).unwrap().locked = true;
         // `a` was inserted first, so it is the raw-LRU fallback victim.
         let ev = c.insert(d, LineState::Shared);
-        assert_eq!(ev, Eviction::Clean(a));
+        assert_eq!(
+            ev,
+            Eviction::Clean {
+                line: a,
+                sharers: 0
+            }
+        );
         assert!(c.peek(d).is_some());
     }
 

@@ -610,8 +610,8 @@ impl EpochCore<'_> {
 
     fn handle_private_eviction(&mut self, ev: Eviction) {
         match ev {
-            Eviction::None | Eviction::Clean(_) => {}
-            Eviction::Dirty(l) => {
+            Eviction::None | Eviction::Clean { .. } => {}
+            Eviction::Dirty { line: l, .. } => {
                 self.stats.inc(self.ids.private_writeback);
                 if let Some(meta) = self.llc.entry(l) {
                     meta.state = LineState::Modified;
@@ -841,13 +841,19 @@ impl MemorySystem {
     /// Inclusive-eviction handling at replay. Eviction stats are counted
     /// here (not in the window, which cannot observe master evictions);
     /// replay order is fixed, so the counts are thread-count-invariant.
+    ///
+    /// Unlike the classic `handle_llc_eviction`, this scans every core's
+    /// private caches instead of the victim's sharers: a core replayed
+    /// later in this merge already holds its window fills, but its
+    /// `FillSharer` events have not been replayed yet, so the directory
+    /// does not list it.
     fn replay_llc_eviction(&mut self, ev: Eviction) {
         let victim = match ev {
             Eviction::None => return,
-            Eviction::Clean(l) => l,
-            Eviction::Dirty(l) => {
+            Eviction::Clean { line, .. } => line,
+            Eviction::Dirty { line, .. } => {
                 self.stats.inc(self.ids.llc_writeback);
-                l
+                line
             }
         };
         let mut invalidated = false;

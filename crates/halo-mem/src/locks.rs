@@ -3,11 +3,12 @@
 //! A small open-addressed hash table with linear probing and
 //! backward-shift deletion, replacing the general-purpose
 //! `HashMap<LineAddr, Cycle>` the memory system used to carry
-//! (DESIGN.md §9). The population is tiny (one entry per in-flight
-//! accelerator query holding a line) and the probe runs on the store
-//! hot path, so the table optimizes for short probes over dense
-//! `(u64, u64)` pairs in contiguous memory and for allocation-free
-//! expiry sweeps.
+//! (DESIGN.md §9). It holds one entry per line an accelerator query
+//! locked that no sweep, store or eviction has released yet. That is
+//! small when callers run `hw_unlock_expired`, but the datapaths never
+//! do, so it can reach ~10^5 entries. The probe runs on the store hot
+//! path, so the table optimizes for short probes over dense `(u64, u64)`
+//! pairs in contiguous memory and for allocation-free expiry sweeps.
 
 use crate::addr::LineAddr;
 use halo_sim::Cycle;

@@ -4,16 +4,28 @@
 //! All simulated data structures (hash tables, key-value arrays, packet
 //! buffers) live in a [`SimMemory`] so that the cache model can observe
 //! the *real* addresses the algorithms touch.
+//!
+//! Pages are found through a directory indexed by page number (a `Vec`
+//! of optional page pointers), not a hash map: every table probe in the
+//! simulator reads simulated memory, and a bounds-checked index is far
+//! cheaper than hashing the page number. The bump allocator hands out
+//! dense addresses from one line up, so the directory stays as long as
+//! the highest page ever written (a few thousand slots of 8 bytes for
+//! the largest workloads). Reads past its end, or of slots never
+//! written, return zeros without growing it (DESIGN.md §9 item 7).
 
 use crate::addr::{Addr, CACHE_LINE};
-use std::collections::HashMap;
 
 const PAGE_SHIFT: u64 = 16; // 64 KiB pages
 const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 
+/// One materialized page. A fixed-size array keeps the directory slot a
+/// thin pointer (8 bytes, with `None` as null).
+type Page = Box<[u8; PAGE_SIZE as usize]>;
+
 /// Sparse simulated physical memory with a bump allocator.
 ///
-/// Pages are materialized on first touch and zero-filled, so multi-GiB
+/// Pages are materialized on first write and zero-filled, so multi-GiB
 /// table layouts cost only what they actually touch.
 ///
 /// # Examples
@@ -28,7 +40,10 @@ const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
 /// ```
 #[derive(Debug, Default)]
 pub struct SimMemory {
-    pages: HashMap<u64, Box<[u8]>>,
+    /// Page directory indexed by page number; `None` = never written.
+    pages: Vec<Option<Page>>,
+    /// Number of `Some` slots in `pages`.
+    resident: usize,
     /// Next free byte for the bump allocator. Starts at one line so that
     /// address 0 stays a null sentinel.
     brk: u64,
@@ -39,7 +54,8 @@ impl SimMemory {
     #[must_use]
     pub fn new() -> Self {
         SimMemory {
-            pages: HashMap::new(),
+            pages: Vec::new(),
+            resident: 0,
             brk: CACHE_LINE,
         }
     }
@@ -70,20 +86,40 @@ impl SimMemory {
     /// Number of pages actually materialized.
     #[must_use]
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.resident
     }
 
-    fn page(&mut self, addr: u64) -> &mut [u8] {
-        self.pages
-            .entry(addr >> PAGE_SHIFT)
-            .or_insert_with(|| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
+    /// The page containing `addr`, materialized (zero-filled) if absent.
+    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE as usize] {
+        let idx = usize::try_from(addr >> PAGE_SHIFT).expect("page number exceeds usize");
+        if idx >= self.pages.len() {
+            self.pages.resize_with(idx + 1, || None);
+        }
+        let slot = &mut self.pages[idx];
+        if slot.is_none() {
+            self.resident += 1;
+        }
+        slot.get_or_insert_with(|| {
+            // Zeroed heap allocation, never a stack temporary.
+            vec![0u8; PAGE_SIZE as usize]
+                .into_boxed_slice()
+                .try_into()
+                .expect("page buffer has PAGE_SIZE bytes")
+        })
+    }
+
+    /// The page containing `addr`, if it was ever written.
+    #[inline]
+    fn page(&self, addr: u64) -> Option<&[u8; PAGE_SIZE as usize]> {
+        let idx = usize::try_from(addr >> PAGE_SHIFT).ok()?;
+        self.pages.get(idx)?.as_deref()
     }
 
     /// Reads `buf.len()` bytes starting at `addr`.
     ///
     /// Pages never written read as zeros without being materialized, so
     /// read-only probes (and concurrent epoch-window readers) leave the
-    /// page map untouched.
+    /// page directory untouched.
     pub fn read_bytes(&self, addr: Addr, buf: &mut [u8]) {
         let mut pos = addr.0;
         let mut done = 0usize;
@@ -91,7 +127,7 @@ impl SimMemory {
             let in_page = (PAGE_SIZE - (pos % PAGE_SIZE)) as usize;
             let n = in_page.min(buf.len() - done);
             let off = (pos % PAGE_SIZE) as usize;
-            match self.pages.get(&(pos >> PAGE_SHIFT)) {
+            match self.page(pos) {
                 Some(page) => buf[done..done + n].copy_from_slice(&page[off..off + n]),
                 None => buf[done..done + n].fill(0),
             }
@@ -108,7 +144,7 @@ impl SimMemory {
             let in_page = (PAGE_SIZE - (pos % PAGE_SIZE)) as usize;
             let n = in_page.min(data.len() - done);
             let off = (pos % PAGE_SIZE) as usize;
-            let page = self.page(pos);
+            let page = self.page_mut(pos);
             page[off..off + n].copy_from_slice(&data[done..done + n]);
             pos += n as u64;
             done += n;

@@ -870,18 +870,34 @@ impl MemorySystem {
         self.handle_llc_eviction(ev);
     }
 
+    /// Inclusive LLC: back-invalidates the victim's private copies.
+    ///
+    /// Only the directory's sharers are probed. Every path that fills a
+    /// private cache sets the core's sharer bit, and only paths that
+    /// also drop the core's copies clear it, so the cores holding a line
+    /// are always a subset of its sharers (stale bits from silent
+    /// private evictions only over-approximate). Probing the other cores
+    /// would find nothing. Epoch replay cannot rely on this; see
+    /// `replay_llc_eviction`.
     fn handle_llc_eviction(&mut self, ev: Eviction) {
-        let victim = match ev {
+        let (victim, sharers) = match ev {
             Eviction::None => return,
-            Eviction::Clean(l) => l,
-            Eviction::Dirty(l) => {
+            Eviction::Clean { line, sharers } => (line, sharers),
+            Eviction::Dirty { line, sharers } => {
                 self.stats.inc(self.ids.llc_writeback);
-                l
+                (line, sharers)
             }
         };
-        // Inclusive LLC: back-invalidate private copies.
+        debug_assert!(
+            (0..self.cfg.cores).all(|c| sharers & (1 << c) != 0
+                || (self.l1d[c].peek(victim).is_none() && self.l2[c].peek(victim).is_none())),
+            "LLC victim {victim} held by a core outside its sharers {sharers:#b}"
+        );
         let mut invalidated = false;
-        for c in 0..self.cfg.cores {
+        let mut rest = sharers;
+        while rest != 0 {
+            let c = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
             if self.l1d[c].invalidate(victim).is_some() {
                 invalidated = true;
             }
@@ -924,8 +940,8 @@ impl MemorySystem {
 
     fn handle_private_eviction(&mut self, _core: CoreId, ev: Eviction) {
         match ev {
-            Eviction::None | Eviction::Clean(_) => {}
-            Eviction::Dirty(l) => {
+            Eviction::None | Eviction::Clean { .. } => {}
+            Eviction::Dirty { line: l, .. } => {
                 self.stats.inc(self.ids.private_writeback);
                 // Data stays authoritative in SimMemory; mark LLC dirty.
                 let slice = self.home_slice(l);

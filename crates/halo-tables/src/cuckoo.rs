@@ -6,7 +6,7 @@
 //! lines plus the matching key-value slot — the access pattern whose
 //! LLC-friendliness motivates HALO (§3.3).
 
-use crate::hash::{bucket_pair, hash_key, signature, SEED_PRIMARY};
+use crate::hash::bucket_pair_and_signature;
 use crate::key::FlowKey;
 use crate::layout::{allocate_table, TableMeta, ENTRIES_PER_BUCKET};
 use crate::path::find_displacement_path;
@@ -202,13 +202,12 @@ impl CuckooTable {
         value: u64,
     ) -> Result<(), TableFullError> {
         self.check_key(key);
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
+        let (b1, b2, sig) = bucket_pair_and_signature(key, self.meta.buckets);
 
         // Update in place if present.
         for b in [b1, b2] {
-            for e in 0..ENTRIES_PER_BUCKET {
-                let (s, idx) = self.meta.read_entry(mem, b, e);
+            let (sigs, idxs) = self.meta.read_bucket(mem, b);
+            for (&s, &idx) in sigs.iter().zip(&idxs) {
                 if s == sig && self.meta.read_kv_key(mem, idx) == *key {
                     self.meta.write_kv_value(mem, idx, value);
                     return Ok(());
@@ -309,15 +308,14 @@ impl CuckooTable {
             steps.push(TraceStep::SoftLock(self.version_addr));
         }
         steps.push(TraceStep::Hash);
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
+        let (b1, b2, sig) = bucket_pair_and_signature(key, self.meta.buckets);
 
         let mut result = None;
         'outer: for b in [b1, b2] {
             steps.push(TraceStep::LoadBucket(self.meta.bucket_addr(b)));
             steps.push(TraceStep::CompareSigs);
-            for e in 0..ENTRIES_PER_BUCKET {
-                let (s, idx) = self.meta.read_entry(mem, b, e);
+            let (sigs, idxs) = self.meta.read_bucket(mem, b);
+            for (&s, &idx) in sigs.iter().zip(&idxs) {
                 if s == sig {
                     let kv = self.meta.kv_addr(idx);
                     steps.push(TraceStep::LoadKv(kv));
@@ -342,11 +340,10 @@ impl CuckooTable {
     /// Removes `key`, returning its value if present.
     pub fn remove(&mut self, mem: &mut SimMemory, key: &FlowKey) -> Option<u64> {
         self.check_key(key);
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
+        let (b1, b2, sig) = bucket_pair_and_signature(key, self.meta.buckets);
         for b in [b1, b2] {
-            for e in 0..ENTRIES_PER_BUCKET {
-                let (s, idx) = self.meta.read_entry(mem, b, e);
+            let (sigs, idxs) = self.meta.read_bucket(mem, b);
+            for (e, (&s, &idx)) in sigs.iter().zip(&idxs).enumerate() {
                 if s == sig && self.meta.read_kv_key(mem, idx) == *key {
                     let v = self.meta.read_kv_value(mem, idx);
                     self.meta.clear_entry(mem, b, e);
@@ -366,8 +363,7 @@ impl CuckooTable {
     /// concurrent-writer behaviour of Fig. 7. Returns `true` on success.
     pub fn cuckoo_move(&mut self, mem: &mut SimMemory, key: &FlowKey) -> bool {
         self.check_key(key);
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
+        let (b1, b2, sig) = bucket_pair_and_signature(key, self.meta.buckets);
         for (b, alt) in [(b1, b2), (b2, b1)] {
             for e in 0..ENTRIES_PER_BUCKET {
                 let (s, idx) = self.meta.read_entry(mem, b, e);
@@ -401,8 +397,7 @@ impl CuckooTable {
     /// enforces this exclusion on real HALO).
     pub fn cuckoo_move_begin(&mut self, mem: &mut SimMemory, key: &FlowKey) -> Option<PendingMove> {
         self.check_key(key);
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
+        let (b1, b2, sig) = bucket_pair_and_signature(key, self.meta.buckets);
         for (b, alt) in [(b1, b2), (b2, b1)] {
             for e in 0..ENTRIES_PER_BUCKET {
                 let (s, idx) = self.meta.read_entry(mem, b, e);

@@ -48,8 +48,21 @@ pub fn signature(primary_hash: u64) -> u16 {
 /// buckets (power of two).
 #[must_use]
 pub fn bucket_pair(key: &FlowKey, buckets: u64) -> (u64, u64) {
-    debug_assert!(buckets.is_power_of_two());
+    pair_from_primary(hash_key(key, SEED_PRIMARY), key, buckets)
+}
+
+/// [`bucket_pair`] plus the key's [`signature`], hashing the key with
+/// [`SEED_PRIMARY`] once for both.
+#[must_use]
+pub(crate) fn bucket_pair_and_signature(key: &FlowKey, buckets: u64) -> (u64, u64, u16) {
     let h1 = hash_key(key, SEED_PRIMARY);
+    let (b1, b2) = pair_from_primary(h1, key, buckets);
+    (b1, b2, signature(h1))
+}
+
+/// The bucket pair given the key's primary hash `h1`.
+fn pair_from_primary(h1: u64, key: &FlowKey, buckets: u64) -> (u64, u64) {
+    debug_assert!(buckets.is_power_of_two());
     let b1 = h1 & (buckets - 1);
     // DPDK derives the alternative index from the signature; we use an
     // independent hash for better spread, same contract: alt(alt(x)) == x
@@ -110,6 +123,16 @@ mod tests {
         }
         for &c in &counts {
             assert!((600..1500).contains(&c), "skewed bucket: {c}");
+        }
+    }
+
+    #[test]
+    fn pair_and_signature_match_separate_hashes() {
+        for id in 0..1_000u64 {
+            let k = FlowKey::synthetic(id, 13);
+            let (b1, b2) = bucket_pair(&k, 256);
+            let sig = signature(hash_key(&k, SEED_PRIMARY));
+            assert_eq!(bucket_pair_and_signature(&k, 256), (b1, b2, sig));
         }
     }
 

@@ -13,7 +13,7 @@
 //! signature is a 16-bit hash digest and the index points into the
 //! key-value array, which stores the full key and the attached value.
 
-use crate::key::FlowKey;
+use crate::key::{FlowKey, MAX_KEY_LEN};
 use halo_mem::{Addr, SimMemory, CACHE_LINE};
 
 /// Entries per bucket (8-way set-associative buckets, the DPDK default
@@ -101,6 +101,25 @@ impl TableMeta {
         (mem.read_u16(sa), mem.read_u32(ia))
     }
 
+    /// Reads all of bucket `b` with one line-sized read: the eight
+    /// signatures and the eight kv indices, in entry order. Entry `e` of
+    /// the result equals [`read_entry`](Self::read_entry)`(mem, b, e)`.
+    #[must_use]
+    pub fn read_bucket(
+        &self,
+        mem: &SimMemory,
+        b: u64,
+    ) -> ([u16; ENTRIES_PER_BUCKET], [u32; ENTRIES_PER_BUCKET]) {
+        let mut line = [0u8; CACHE_LINE as usize];
+        mem.read_bytes(self.bucket_addr(b), &mut line);
+        let sigs = std::array::from_fn(|e| u16::from_le_bytes([line[2 * e], line[2 * e + 1]]));
+        let idxs = std::array::from_fn(|e| {
+            let i = BUCKET_IDX_OFF as usize + 4 * e;
+            u32::from_le_bytes([line[i], line[i + 1], line[i + 2], line[i + 3]])
+        });
+        (sigs, idxs)
+    }
+
     /// Writes bucket entry `e` of bucket `b`.
     pub fn write_entry(&self, mem: &mut SimMemory, b: u64, e: usize, sig: u16, idx: u32) {
         let (sa, ia) = self.entry_addrs(b, e);
@@ -124,10 +143,10 @@ impl TableMeta {
     /// Reads the key stored in slot `idx`.
     #[must_use]
     pub fn read_kv_key(&self, mem: &SimMemory, idx: u32) -> FlowKey {
-        let a = self.kv_addr(idx);
-        let mut buf = vec![0u8; self.key_len as usize];
-        mem.read_bytes(a, &mut buf);
-        FlowKey::from_bytes(&buf)
+        let key_len = self.key_len as usize;
+        let mut buf = [0u8; MAX_KEY_LEN];
+        mem.read_bytes(self.kv_addr(idx), &mut buf[..key_len]);
+        FlowKey::from_bytes(&buf[..key_len])
     }
 
     /// Reads the value stored in slot `idx`.
@@ -161,10 +180,10 @@ impl TableMeta {
 /// # Panics
 ///
 /// Panics if `buckets` is not a power of two or `key_len` exceeds
-/// [`crate::MAX_KEY_LEN`].
+/// [`MAX_KEY_LEN`].
 pub fn allocate_table(mem: &mut SimMemory, buckets: u64, key_len: usize) -> (Addr, TableMeta) {
     assert!(buckets.is_power_of_two(), "bucket count must be 2^n");
-    assert!(key_len <= crate::MAX_KEY_LEN);
+    assert!(key_len <= MAX_KEY_LEN);
     let meta_addr = mem.alloc_lines(CACHE_LINE);
     let bucket_base = mem.alloc_lines(buckets * CACHE_LINE);
     let kv_slot = TableMeta::kv_slot_for(key_len);

@@ -9,13 +9,16 @@
 //! dependency-free. The default case count keeps `cargo test -q` fast;
 //! build with `--features slow-tests` to multiply it.
 
+use halo_nfv::check::audit_system;
 use halo_nfv::classify::{
     distinct_masks, DecisionTree, PacketHeader, SearchMode, TupleSpace, WildcardMask,
 };
 use halo_nfv::kvstore::KvStore;
-use halo_nfv::mem::{AccessKind, CoreId, MachineConfig, MemorySystem, SimMemory};
+use halo_nfv::mem::{
+    AccessKind, Addr, CacheGeometry, CoreId, MachineConfig, MemorySystem, SimMemory, SliceId,
+};
 use halo_nfv::sim::{point_seed, Cycle, Cycles, OutstandingWindow, Resource, SplitMix64};
-use halo_nfv::tables::{CuckooTable, FlowKey, SfhTable};
+use halo_nfv::tables::{CuckooTable, FlowKey, SfhTable, ENTRIES_PER_BUCKET};
 use halo_nfv::tcam::{TcamEntry, TcamTable};
 use std::collections::HashMap;
 
@@ -670,4 +673,208 @@ fn streaming_sweeps_are_jobs_invariant() {
     let a = SweepRunner::new("stream-jobs-1", 1).quiet().run(points());
     let b = SweepRunner::new("stream-jobs-4", 4).quiet().run(points());
     assert_eq!(a, b, "merged stream digests diverged across jobs levels");
+}
+
+/// Test-only copy of the hash-map page store `SimMemory` used before its
+/// page directory became a `Vec` indexed by page number.
+struct RefPagedMem {
+    pages: HashMap<u64, Box<[u8]>>,
+}
+
+impl RefPagedMem {
+    const PAGE_SHIFT: u64 = 16;
+    const PAGE_SIZE: u64 = 1 << Self::PAGE_SHIFT;
+
+    fn read_bytes(&self, addr: u64, buf: &mut [u8]) {
+        let mut pos = addr;
+        let mut done = 0usize;
+        while done < buf.len() {
+            let in_page = (Self::PAGE_SIZE - (pos % Self::PAGE_SIZE)) as usize;
+            let n = in_page.min(buf.len() - done);
+            let off = (pos % Self::PAGE_SIZE) as usize;
+            match self.pages.get(&(pos >> Self::PAGE_SHIFT)) {
+                Some(page) => buf[done..done + n].copy_from_slice(&page[off..off + n]),
+                None => buf[done..done + n].fill(0),
+            }
+            pos += n as u64;
+            done += n;
+        }
+    }
+
+    fn write_bytes(&mut self, addr: u64, data: &[u8]) {
+        let mut pos = addr;
+        let mut done = 0usize;
+        while done < data.len() {
+            let in_page = (Self::PAGE_SIZE - (pos % Self::PAGE_SIZE)) as usize;
+            let n = in_page.min(data.len() - done);
+            let off = (pos % Self::PAGE_SIZE) as usize;
+            let page = self
+                .pages
+                .entry(pos >> Self::PAGE_SHIFT)
+                .or_insert_with(|| vec![0u8; Self::PAGE_SIZE as usize].into_boxed_slice());
+            page[off..off + n].copy_from_slice(&data[done..done + n]);
+            pos += n as u64;
+            done += n;
+        }
+    }
+}
+
+/// `SimMemory`'s indexed page directory reads back exactly what the
+/// old hash-map store does under seeded write/read sequences: spans that
+/// cross page boundaries, sparse pages far above the dense region, and
+/// reads of pages never written (which must neither materialize a page
+/// nor change `resident_pages()`).
+#[test]
+fn sim_memory_matches_hash_map_page_store() {
+    const PAGE: u64 = RefPagedMem::PAGE_SIZE;
+    for mut rng in case_rngs("properties.sim_memory_pages") {
+        let mut mem = SimMemory::new();
+        let mut model = RefPagedMem {
+            pages: HashMap::new(),
+        };
+        let addr_of = |rng: &mut SplitMix64| -> u64 {
+            match rng.below(4) {
+                // Dense region, as the bump allocator hands out.
+                0 => rng.below(8 * PAGE),
+                // Just below a page boundary, so spans cross it.
+                1 => (1 + rng.below(64)) * PAGE - 1 - rng.below(100),
+                // Sparse high pages, far past everything else.
+                2 => (1 << 30) + rng.below(64) * (1 << 24) + rng.below(PAGE),
+                // Pages that are mostly never written.
+                _ => rng.below(1 << 34),
+            }
+        };
+        for step in 0..400 {
+            let addr = addr_of(&mut rng);
+            let len = [1, 2, 4, 8, 13, 64, 200, 3000][rng.below(8) as usize];
+            if rng.below(3) == 0 {
+                let data: Vec<u8> = (0..len).map(|_| rng.next_u32() as u8).collect();
+                mem.write_bytes(Addr(addr), &data);
+                model.write_bytes(addr, &data);
+            } else {
+                let before = mem.resident_pages();
+                let mut got = vec![0xAAu8; len];
+                let mut want = vec![0x55u8; len];
+                mem.read_bytes(Addr(addr), &mut got);
+                model.read_bytes(addr, &mut want);
+                assert_eq!(got, want, "step {step}: read {len} bytes at {addr:#x}");
+                assert_eq!(
+                    mem.resident_pages(),
+                    before,
+                    "step {step}: a read grew memory"
+                );
+            }
+            assert_eq!(mem.resident_pages(), model.pages.len(), "step {step}");
+        }
+        // Scalar reads of untouched pages past the directory's end are
+        // zero and stay free.
+        let before = mem.resident_pages();
+        assert_eq!(mem.read_u64(Addr(1 << 40)), 0);
+        assert_eq!(mem.read_u8(Addr(u64::MAX - 7)), 0);
+        assert_eq!(mem.resident_pages(), before);
+        // Every page the model holds reads back byte-identical in full.
+        for &page in model.pages.keys() {
+            let mut got = vec![0u8; PAGE as usize];
+            let mut want = vec![0u8; PAGE as usize];
+            mem.read_bytes(Addr(page * PAGE), &mut got);
+            model.read_bytes(page * PAGE, &mut want);
+            assert_eq!(got, want, "page {page}");
+        }
+    }
+}
+
+/// `TableMeta::read_bucket` (one line read) decodes exactly what eight
+/// `read_entry` calls return, on random buckets of a populated table.
+#[test]
+fn read_bucket_matches_per_entry_reads() {
+    for mut rng in case_rngs("properties.read_bucket") {
+        let mut mem = SimMemory::new();
+        let buckets = 1 << (2 + rng.below(6));
+        let key_len = [4, 13, 40, 64][rng.below(4) as usize];
+        let mut t = CuckooTable::create(&mut mem, buckets, key_len);
+        let fill = len_in(&mut rng, 0, t.capacity() as u64);
+        for _ in 0..fill {
+            let _ = t.insert(&mut mem, &FlowKey::synthetic(rng.next_u64(), key_len), 7);
+        }
+        for _ in 0..64 {
+            let b = rng.below(buckets);
+            let (sigs, idxs) = t.meta().read_bucket(&mem, b);
+            for e in 0..ENTRIES_PER_BUCKET {
+                assert_eq!(
+                    (sigs[e], idxs[e]),
+                    t.meta().read_entry(&mem, b, e),
+                    "bucket {b} entry {e}"
+                );
+            }
+        }
+    }
+}
+
+/// LLC eviction stress on a machine whose LLC is smaller than one
+/// core's L2, so nearly every fill evicts a line some core still holds.
+/// Loads, stores, accelerator accesses, snapshot reads, warm-ups,
+/// private flushes and DMA writes from every core interleave at random.
+/// In debug builds `MemorySystem` asserts at every LLC eviction that no
+/// core outside the victim's directory sharers holds it (the invariant
+/// that lets back-invalidation probe only the sharers); the full
+/// halo-check system audit runs throughout.
+#[test]
+fn llc_eviction_stress_keeps_holders_within_sharers() {
+    for mut rng in case_rngs("properties.llc_eviction_stress") {
+        let cfg = MachineConfig {
+            llc_slice: CacheGeometry {
+                capacity: 2 * 1024,
+                ways: 4,
+            },
+            ..MachineConfig::small()
+        };
+        let (cores, slices) = (cfg.cores, cfg.slices);
+        let mut sys = MemorySystem::new(cfg);
+        let lines = 1024u64;
+        let base = sys.data_mut().alloc_lines(lines * 64);
+        let mut t = Cycle(0);
+        for step in 0..3000 {
+            let a = base + rng.below(lines) * 64;
+            let core = CoreId(rng.below(cores as u64) as usize);
+            let kind = if rng.below(3) == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            t = match rng.below(16) {
+                0..=8 => sys.access(core, a, kind, t).complete,
+                9 | 10 => {
+                    let from = SliceId(rng.below(slices as u64) as usize);
+                    sys.accel_access(from, a, kind, t).complete
+                }
+                11 => sys.snapshot_read(core, a, t).complete,
+                12 | 13 => {
+                    sys.warm_private(core, a);
+                    t
+                }
+                14 => {
+                    sys.dma_write(a);
+                    t
+                }
+                _ => {
+                    if rng.below(8) == 0 {
+                        sys.flush_private(core);
+                    } else {
+                        sys.warm_llc(a);
+                    }
+                    t
+                }
+            };
+            if step % 100 == 99 {
+                let violations = audit_system(&sys, t);
+                assert!(violations.is_empty(), "step {step}: {violations:?}");
+            }
+        }
+        let stats = sys.stats();
+        assert!(
+            stats.counter("llc.back_inval") > 100,
+            "too few back-invalidations"
+        );
+        assert!(stats.counter("llc.writeback") > 0, "no dirty LLC evictions");
+    }
 }
