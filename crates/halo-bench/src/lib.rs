@@ -4,8 +4,7 @@
 //! HALO paper's evaluation. Each experiment lives in its own module
 //! under [`experiments`]; the `figures` binary drives them from the
 //! command line (use `--jobs N` or `HALO_JOBS` to fan sweep points over
-//! worker threads), and the plain-`main` benches under `benches/` wrap
-//! the same entry points with wall-clock timing.
+//! worker threads).
 //!
 //! | Paper result | Module | CLI |
 //! |---|---|---|
@@ -25,7 +24,6 @@
 
 pub mod experiments;
 pub mod hotpath_bench;
-pub mod microbench;
 pub mod parallel_bench;
 pub mod sweep_bench;
 pub mod trace_bench;

@@ -38,22 +38,26 @@
 //! # Examples
 //!
 //! ```
-//! use halo_classify::{distinct_masks, Emc, PacketHeader, SearchMode, TupleSpace};
-//! use halo_datapath::{DatapathCore, LookupBackend, LookupExecutor};
+//! use halo_classify::{distinct_masks, Emc, PacketHeader, SearchMode};
+//! use halo_datapath::{
+//!     DatapathCore, LookupBackend, LookupExecutor, TableBackend, WildcardBackend, WildcardTable,
+//! };
 //! use halo_mem::{CoreId, MachineConfig, MemorySystem};
 //! use halo_sim::Cycle;
 //!
 //! let mut sys = MemorySystem::new(MachineConfig::small());
 //! let exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
 //! let emc = Emc::new(sys.data_mut(), 1024);
-//! let mut megaflow = TupleSpace::new(
+//! let masks = distinct_masks(4);
+//! let mut megaflow = WildcardBackend::Tss.build(
 //!     sys.data_mut(),
-//!     distinct_masks(4),
+//!     TableBackend::Cuckoo,
+//!     &masks,
 //!     256,
 //!     SearchMode::FirstMatch,
 //! );
 //! let key = PacketHeader::synthetic(7).miniflow();
-//! megaflow.insert_rule(sys.data_mut(), 1, &key, 0, 42).unwrap();
+//! megaflow.insert_masked(sys.data_mut(), &masks[1], &key, 0, 42).unwrap();
 //! let mut dp = DatapathCore::new(exec, Some(emc), LookupBackend::Software, true);
 //! let out = dp.classify(&mut sys, None, &megaflow, &key, None, Cycle(0));
 //! assert_eq!(out.action, Some(42));
@@ -416,8 +420,8 @@ pub struct ClassifyOutcome {
     pub done: Cycle,
 }
 
-/// The per-core classification stage: EMC probe → MegaFlow tuple-space
-/// search → EMC promotion, over any [`FlowTable`] backend.
+/// The per-core classification stage: EMC probe → MegaFlow wildcard
+/// search → EMC promotion, over any [`WildcardTable`] backend.
 ///
 /// The single-core virtual switch, the multi-core PMD datapath, and the
 /// NF workloads all drive this one implementation; only what surrounds
@@ -654,8 +658,21 @@ impl DatapathCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use halo_classify::{distinct_masks, PacketHeader, SearchMode, TupleSpace};
+    use halo_classify::{distinct_masks, PacketHeader, SearchMode, WildcardMask};
     use halo_mem::MachineConfig;
+
+    /// A first-match TSS MegaFlow layer of four tuples, and its masks.
+    fn megaflow(sys: &mut MemorySystem) -> (WildcardMatcher, Vec<WildcardMask>) {
+        let masks = distinct_masks(4);
+        let table = WildcardBackend::Tss.build(
+            sys.data_mut(),
+            TableBackend::Cuckoo,
+            &masks,
+            256,
+            SearchMode::FirstMatch,
+        );
+        (table, masks)
+    }
 
     #[test]
     fn nb_region_slots_never_alias() {
@@ -702,14 +719,11 @@ mod tests {
             let mut sys = MemorySystem::new(MachineConfig::small());
             let exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
             let emc = Emc::new(sys.data_mut(), 1024);
-            let mut megaflow = TupleSpace::new(
-                sys.data_mut(),
-                distinct_masks(4),
-                256,
-                SearchMode::FirstMatch,
-            );
+            let (mut megaflow, masks) = megaflow(&mut sys);
             let key = PacketHeader::synthetic(3).miniflow();
-            megaflow.insert_rule(sys.data_mut(), 2, &key, 0, 7).unwrap();
+            megaflow
+                .insert_masked(sys.data_mut(), &masks[2], &key, 0, 7)
+                .unwrap();
             let mut dp = DatapathCore::new(exec, Some(emc), LookupBackend::Software, promote);
             let first = dp.classify(&mut sys, None, &megaflow, &key, None, Cycle(0));
             assert_eq!(first.action, Some(7));
@@ -732,14 +746,11 @@ mod tests {
         sys.enable_tracing(1024);
         let exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
         let emc = Emc::new(sys.data_mut(), 1024);
-        let mut megaflow = TupleSpace::new(
-            sys.data_mut(),
-            distinct_masks(4),
-            256,
-            SearchMode::FirstMatch,
-        );
+        let (mut megaflow, masks) = megaflow(&mut sys);
         let key = PacketHeader::synthetic(3).miniflow();
-        megaflow.insert_rule(sys.data_mut(), 2, &key, 0, 7).unwrap();
+        megaflow
+            .insert_masked(sys.data_mut(), &masks[2], &key, 0, 7)
+            .unwrap();
         let mut dp = DatapathCore::new(exec, Some(emc), LookupBackend::Software, true);
         let mut t = Cycle(0);
         for _ in 0..10 {
@@ -760,18 +771,15 @@ mod tests {
         let mut sys = MemorySystem::new(MachineConfig::small());
         let exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
         let emc = Emc::new(sys.data_mut(), 1024);
-        let mut megaflow = TupleSpace::new(
-            sys.data_mut(),
-            distinct_masks(4),
-            256,
-            SearchMode::FirstMatch,
-        );
+        let (mut megaflow, masks) = megaflow(&mut sys);
         let key = PacketHeader::synthetic(3).miniflow();
-        megaflow.insert_rule(sys.data_mut(), 2, &key, 0, 7).unwrap();
+        megaflow
+            .insert_masked(sys.data_mut(), &masks[2], &key, 0, 7)
+            .unwrap();
         let mut dp = DatapathCore::new(exec, Some(emc), LookupBackend::Software, true);
         let first = dp.classify(&mut sys, None, &megaflow, &key, None, Cycle(0));
         assert!(dp.invalidate(sys.data_mut(), &key), "promoted entry gone");
-        megaflow.remove_rule(sys.data_mut(), 2, &key);
+        megaflow.remove_masked(sys.data_mut(), &masks[2], &key);
         let after = dp.classify(&mut sys, None, &megaflow, &key, None, first.done);
         assert!(!after.emc_hit, "stale EMC entry survived expiry");
         assert_eq!(after.action, None, "expired flow must miss everywhere");

@@ -45,8 +45,9 @@ pub enum WildcardError {
     /// A masked insert named a mask no tuple carries (the tuple space
     /// fixes its masks at construction).
     UnknownMask,
-    /// The backend cannot express this rule form (e.g. range rules on a
-    /// plain tuple space without expansion support).
+    /// The table cannot express this rule form: range rules on a
+    /// [`SearchMode::FirstMatch`] tuple space, whose early exit could
+    /// return a lower-priority expansion element.
     UnsupportedRanges,
 }
 
@@ -131,8 +132,9 @@ pub trait WildcardTable: std::fmt::Debug {
     ///
     /// # Errors
     ///
-    /// [`WildcardError::UnsupportedRanges`] for backends without a
-    /// range representation; otherwise as [`Self::insert_masked`].
+    /// [`WildcardError::UnsupportedRanges`] when the table cannot
+    /// express range rules (a first-match TSS table); otherwise as
+    /// [`Self::insert_masked`].
     fn insert_range(
         &mut self,
         mem: &mut SimMemory,
@@ -172,82 +174,6 @@ pub trait WildcardTable: std::fmt::Debug {
     fn memory_lines(&self) -> Vec<Addr>;
 }
 
-impl<T: FlowTable> WildcardTable for TupleSpace<T> {
-    fn name(&self) -> &'static str {
-        "tss"
-    }
-
-    fn rules(&self) -> usize {
-        self.total_rules()
-    }
-
-    fn probes(&self) -> usize {
-        self.tuples().len()
-    }
-
-    fn insert_masked(
-        &mut self,
-        mem: &mut SimMemory,
-        mask: &WildcardMask,
-        key: &FlowKey,
-        priority: u16,
-        action: u64,
-    ) -> Result<Option<(u16, u64)>, WildcardError> {
-        let idx = self
-            .tuple_with_mask(mask)
-            .ok_or(WildcardError::UnknownMask)?;
-        Ok(self.insert_rule(mem, idx, key, priority, action)?)
-    }
-
-    fn remove_masked(
-        &mut self,
-        mem: &mut SimMemory,
-        mask: &WildcardMask,
-        key: &FlowKey,
-    ) -> Option<(u16, u64)> {
-        let idx = self.tuple_with_mask(mask)?;
-        self.remove_rule(mem, idx, key)
-    }
-
-    fn insert_range(
-        &mut self,
-        _mem: &mut SimMemory,
-        _rule: &RangeRule,
-    ) -> Result<Option<(u16, u64)>, WildcardError> {
-        Err(WildcardError::UnsupportedRanges)
-    }
-
-    fn remove_range(&mut self, _mem: &mut SimMemory, _rule: &RangeRule) -> Option<(u16, u64)> {
-        None
-    }
-
-    fn classify_traced(
-        &self,
-        mem: &SimMemory,
-        key: &FlowKey,
-        software_locking: bool,
-    ) -> (Option<RuleMatch>, Vec<(usize, LookupTrace)>) {
-        TupleSpace::classify_traced(self, mem, key, software_locking)
-    }
-
-    fn probe_meta_addr(&self, probe: usize) -> Option<Addr> {
-        self.tuples().get(probe).and_then(|t| t.table().meta_addr())
-    }
-
-    fn probe_version_addr(&self, probe: usize) -> Option<Addr> {
-        self.tuples()
-            .get(probe)
-            .and_then(|t| t.table().version_addr())
-    }
-
-    fn memory_lines(&self) -> Vec<Addr> {
-        self.tuples()
-            .iter()
-            .flat_map(|t| t.table().warm_lines())
-            .collect()
-    }
-}
-
 /// Tuple space search with range-rule support via prefix expansion.
 ///
 /// Masked rules pass straight through to the wrapped [`TupleSpace`].
@@ -261,11 +187,12 @@ impl<T: FlowTable> WildcardTable for TupleSpace<T> {
 /// earliest-installed rule). Removing a rule re-derives each of its
 /// elements from the owners left.
 ///
-/// Range rules are exact only under [`SearchMode::HighestPriority`]:
-/// every rule matching a key owns exactly one element containing that
-/// key, so the maximum over all probed tuples is the best matching
-/// rule. [`SearchMode::FirstMatch`] stops at the first tuple that hits
-/// and may return a lower-priority owner.
+/// Range rules need [`SearchMode::HighestPriority`]: every rule
+/// matching a key owns exactly one element containing that key, so the
+/// maximum over all probed tuples is the best matching rule.
+/// [`SearchMode::FirstMatch`] would stop at the first tuple that hits
+/// and could return a lower-priority owner, so a first-match table
+/// rejects range rules with [`WildcardError::UnsupportedRanges`].
 ///
 /// Mixing masked-rule and range-rule APIs on one instance is not
 /// supported (the shadow bookkeeping only tracks range rules); the
@@ -318,18 +245,6 @@ impl TssRangeTable {
             live_ranges: 0,
             entries: HashMap::new(),
         }
-    }
-
-    /// The wrapped tuple space, read-only.
-    #[must_use]
-    pub fn space(&self) -> &TupleSpace<ExactTable> {
-        &self.space
-    }
-
-    /// The exact-match backend backing each tuple.
-    #[must_use]
-    pub fn exact_backend(&self) -> TableBackend {
-        self.backend
     }
 
     /// The tuple carrying `mask`, created if absent.
@@ -441,6 +356,9 @@ impl WildcardTable for TssRangeTable {
         mem: &mut SimMemory,
         rule: &RangeRule,
     ) -> Result<Option<(u16, u64)>, WildcardError> {
+        if self.space.mode() == SearchMode::FirstMatch {
+            return Err(WildcardError::UnsupportedRanges);
+        }
         halo_classify::try_encode_rule(rule.priority, rule.action)
             .map_err(RuleError::from)
             .map_err(WildcardError::from)?;
@@ -669,16 +587,6 @@ impl WildcardMatcher {
             WildcardMatcher::Rvh(_) => WildcardBackend::Rvh,
         }
     }
-
-    /// The wrapped tuple space, when this is the TSS backend (the
-    /// vswitch's functional-check and warm paths use it directly).
-    #[must_use]
-    pub fn as_tss(&self) -> Option<&TupleSpace<ExactTable>> {
-        match self {
-            WildcardMatcher::Tss(t) => Some(t.space()),
-            WildcardMatcher::Rvh(_) => None,
-        }
-    }
 }
 
 impl WildcardTable for WildcardMatcher {
@@ -898,39 +806,6 @@ mod tests {
         }
     }
 
-    /// The trait impl for a plain `TupleSpace` is behaviorally identical
-    /// to its inherent methods — the seam the datapath genericized over
-    /// must not change what default-configured frontends observe.
-    #[test]
-    fn tuple_space_trait_impl_is_transparent() {
-        let mut mem = SimMemory::new();
-        let masks = distinct_masks(4);
-        let mut tss = TupleSpace::new(&mut mem, masks.clone(), 256, SearchMode::FirstMatch);
-        let key = PacketHeader::synthetic(2).miniflow();
-        tss.insert_rule(&mut mem, 2, &key, 0, 11).unwrap();
-        let (inherent, inherent_probes) = TupleSpace::classify_traced(&tss, &mem, &key, true);
-        let dt: &dyn WildcardTable = &tss;
-        let (via, via_probes) = dt.classify_traced(&mem, &key, true);
-        assert_eq!(inherent, via);
-        assert_eq!(inherent_probes.len(), via_probes.len());
-        for ((i, a), (j, b)) in inherent_probes.iter().zip(&via_probes) {
-            assert_eq!(i, j);
-            assert_eq!(a.result, b.result);
-            assert_eq!(a.steps, b.steps);
-        }
-        assert_eq!(
-            dt.probe_meta_addr(2),
-            FlowTable::meta_addr(tss.tuples()[2].table()),
-            "dispatch address must match the legacy tuple_addr path"
-        );
-        assert_eq!(dt.probes(), 4);
-        assert_eq!(
-            tss.insert_range(&mut mem, &range_rule(1, 0, 9, 1, 1)),
-            Err(WildcardError::UnsupportedRanges),
-            "plain tuple spaces have no range vocabulary"
-        );
-    }
-
     /// Range-heavy rulesets need far fewer probes on RVH than on TSS:
     /// the headline claim the ablation figure quantifies.
     #[test]
@@ -970,6 +845,43 @@ mod tests {
                 "flow {id}"
             );
         }
+    }
+
+    /// A first-match TSS table rejects range rules before touching
+    /// memory (its early exit could serve a lower-priority expansion
+    /// element); RVH has no early exit and accepts them in either mode.
+    #[test]
+    fn first_match_tss_rejects_range_rules() {
+        let mut mem = SimMemory::new();
+        let masks = distinct_masks(2);
+        let rule = range_rule(4, 1_000, 1_999, 5, 50);
+        let mut tss = WildcardBackend::Tss.build(
+            &mut mem,
+            TableBackend::Cuckoo,
+            &masks,
+            64,
+            SearchMode::FirstMatch,
+        );
+        let probes = WildcardTable::probes(&tss);
+        assert_eq!(
+            tss.insert_range(&mut mem, &rule),
+            Err(WildcardError::UnsupportedRanges)
+        );
+        assert_eq!(WildcardTable::rules(&tss), 0);
+        assert_eq!(WildcardTable::probes(&tss), probes, "no tuple grown");
+        assert_eq!(tss.classify(&mem, &rule.point_key()), None);
+        let mut rvh = WildcardBackend::Rvh.build(
+            &mut mem,
+            TableBackend::Cuckoo,
+            &masks,
+            64,
+            SearchMode::FirstMatch,
+        );
+        assert_eq!(rvh.insert_range(&mut mem, &rule).unwrap(), None);
+        assert_eq!(
+            rvh.classify(&mem, &rule.point_key()).map(|m| m.action),
+            Some(50)
+        );
     }
 
     /// A masked insert for a mask no tuple carries is a typed error on

@@ -11,9 +11,11 @@
 
 use crate::compute_nf::{ComputeNf, ComputeNfKind};
 use halo_accel::HaloEngine;
-use halo_classify::{distinct_masks, PacketHeader, SearchMode, TupleSpace};
+use halo_classify::{distinct_masks, PacketHeader, SearchMode};
 use halo_cpu::MemProfile;
-use halo_datapath::{LookupBackend, LookupExecutor};
+use halo_datapath::{
+    LookupBackend, LookupExecutor, TableBackend, WildcardBackend, WildcardMatcher, WildcardTable,
+};
 use halo_mem::{CoreId, MemorySystem};
 use halo_sim::{Cycle, Cycles, SplitMix64};
 
@@ -61,7 +63,7 @@ const SWITCH_TUPLES: usize = 10;
 #[derive(Debug)]
 struct SwitchThread {
     exec: LookupExecutor,
-    tss: TupleSpace,
+    tss: WildcardMatcher,
     flows: u64,
     rng: SplitMix64,
     imp: SwitchImpl,
@@ -69,27 +71,22 @@ struct SwitchThread {
 
 impl SwitchThread {
     fn new(sys: &mut MemorySystem, core: CoreId, flows: usize, imp: SwitchImpl, seed: u64) -> Self {
-        let mut tss = TupleSpace::new(
+        let masks = distinct_masks(SWITCH_TUPLES);
+        let mut tss = WildcardBackend::Tss.build(
             sys.data_mut(),
-            distinct_masks(SWITCH_TUPLES),
+            TableBackend::Cuckoo,
+            &masks,
             flows / SWITCH_TUPLES + 512,
             SearchMode::FirstMatch,
         );
         for f in 0..flows as u64 {
             let key = PacketHeader::synthetic(f).miniflow();
-            tss.insert_rule(
-                sys.data_mut(),
-                (f % SWITCH_TUPLES as u64) as usize,
-                &key,
-                0,
-                f,
-            )
-            .expect("tuple sized for its share");
+            let mask = &masks[(f % SWITCH_TUPLES as u64) as usize];
+            tss.insert_masked(sys.data_mut(), mask, &key, 0, f)
+                .expect("tuple sized for its share");
         }
-        for t in tss.tuples() {
-            for a in t.table().all_lines().collect::<Vec<_>>() {
-                sys.warm_llc(a);
-            }
+        for a in tss.memory_lines() {
+            sys.warm_llc(a);
         }
         // The sibling's scratch stays cold: its working set competes
         // with the NF for the shared private caches.
@@ -131,7 +128,10 @@ impl SwitchThread {
                 let issued = self.exec.run(&issue, sys, at).finish;
                 let mut done = issued;
                 for (slot, (i, tr)) in probes.iter().enumerate() {
-                    let table_addr = self.tss.tuples()[*i].table().meta_addr();
+                    let table_addr = self
+                        .tss
+                        .probe_meta_addr(*i)
+                        .expect("cuckoo tuples have in-memory metadata");
                     let h = halo_tables::hash_key(&key, halo_tables::SEED_PRIMARY) ^ (*i as u64);
                     let out = engine.dispatch(
                         sys,

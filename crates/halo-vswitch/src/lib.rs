@@ -222,7 +222,7 @@ mod openflow_tests {
     fn switch_with_openflow() -> (MemorySystem, VirtualSwitch) {
         let mut sys = MemorySystem::new(MachineConfig::small());
         let mut cfg = SwitchConfig::typical(4, LookupBackend::Software);
-        cfg.openflow = true;
+        cfg.openflow_capacity = 4096;
         cfg.emc_entries = 256;
         let mut vs = VirtualSwitch::new(&mut sys, CoreId(0), cfg);
         // Rules exist only in the OpenFlow layer: MegaFlow starts empty.
@@ -257,7 +257,7 @@ mod openflow_tests {
     fn openflow_picks_highest_priority() {
         let mut sys = MemorySystem::new(MachineConfig::small());
         let mut cfg = SwitchConfig::typical(4, LookupBackend::Software);
-        cfg.openflow = true;
+        cfg.openflow_capacity = 4096;
         cfg.emc_entries = 0; // force the layered search
         let mut vs = VirtualSwitch::new(&mut sys, CoreId(0), cfg);
         let pkt = PacketHeader::synthetic(3);

@@ -251,8 +251,8 @@ impl MultiCoreDatapath {
             emc_promotion,
         } = cfg;
         assert!(cores <= sys.config().cores, "not enough cores");
-        // Same per-tuple sizing `TupleSpace::new` uses for the cuckoo
-        // baseline, applied to whichever backend the config selects.
+        // Each tuple holds its share of the flows plus 512 slots of
+        // headroom, on whichever backend the config selects.
         let entries_per_tuple = flows / tuples + 512;
         let masks = distinct_masks(tuples);
         let mut megaflow = wildcard_backend.build(

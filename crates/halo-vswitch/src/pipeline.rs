@@ -8,13 +8,11 @@
 //! phase accounting, and the OpenFlow slow path.
 
 use halo_accel::HaloEngine;
-use halo_classify::{
-    Emc, PacketHeader, RangeRule, RuleError, RuleMatch, SearchMode, TupleSpace, WildcardMask,
-};
+use halo_classify::{Emc, PacketHeader, RangeRule, RuleMatch, SearchMode, WildcardMask};
 use halo_cpu::{ExecReport, Program};
 use halo_datapath::{
-    DatapathCore, LookupExecutor, NbRegion, TableBackend, WildcardBackend, WildcardError,
-    WildcardMatcher, WildcardTable,
+    DatapathCore, LookupExecutor, NbRegion, TableBackend, TssRangeTable, WildcardBackend,
+    WildcardError, WildcardMatcher, WildcardTable,
 };
 use halo_mem::{Addr, CoreId, MemorySystem, CACHE_LINE};
 use halo_sim::{Cycle, Cycles};
@@ -85,13 +83,12 @@ pub struct SwitchConfig {
     pub wildcard_backend: WildcardBackend,
     /// Promote MegaFlow hits into the EMC (OVS behaviour).
     pub emc_promotion: bool,
-    /// Enable the OpenFlow slow-path layer: MegaFlow misses fall
-    /// through to a priority search over the full rule set, and the
-    /// winning rule is installed back into the MegaFlow layer (the
-    /// upcall of Fig. 2a). Disabled by default: the paper notes the
-    /// OpenFlow layer is seldom accessed in practice (§3.1).
-    pub openflow: bool,
-    /// Rule capacity per OpenFlow tuple (when `openflow` is on).
+    /// Rule capacity per OpenFlow tuple; 0 disables the OpenFlow
+    /// slow-path layer. When enabled, MegaFlow misses fall through to a
+    /// priority search over the full rule set, and the winning rule is
+    /// installed back into the MegaFlow layer (the upcall of Fig. 2a).
+    /// Disabled by default: the paper notes the OpenFlow layer is
+    /// seldom accessed in practice (§3.1).
     pub openflow_capacity: usize,
 }
 
@@ -106,8 +103,7 @@ impl SwitchConfig {
             backend,
             wildcard_backend: WildcardBackend::default(),
             emc_promotion: true,
-            openflow: false,
-            openflow_capacity: 4096,
+            openflow_capacity: 0,
         }
     }
 }
@@ -188,7 +184,9 @@ pub struct VirtualSwitch {
     /// MegaFlow mask list, indexed by the `tuple_idx` of the install
     /// API (and of OpenFlow rule matches during upcalls).
     masks: Vec<WildcardMask>,
-    openflow: Option<TupleSpace>,
+    /// The OpenFlow slow path: one tuple per MegaFlow mask, in the same
+    /// order, so a hit's `tuple` indexes `masks`.
+    openflow: Option<TssRangeTable>,
     ring: PacketRing,
     /// The fixed phase programs, rebuilt in place for every phase so
     /// packets allocate nothing.
@@ -215,16 +213,15 @@ impl VirtualSwitch {
             cfg.megaflow_capacity,
             SearchMode::FirstMatch,
         );
-        let openflow = if cfg.openflow {
-            Some(TupleSpace::new(
+        let openflow = (cfg.openflow_capacity > 0).then(|| {
+            TssRangeTable::with_masks(
                 sys.data_mut(),
-                cfg.megaflow_masks.clone(),
+                TableBackend::Cuckoo,
+                &cfg.megaflow_masks,
                 cfg.openflow_capacity,
                 SearchMode::HighestPriority,
-            ))
-        } else {
-            None
-        };
+            )
+        });
         let ring = PacketRing::new(sys);
         // NB destination lines, sized so a search probing every probe
         // slot still gets one result word per in-flight lookup.
@@ -300,8 +297,9 @@ impl VirtualSwitch {
     ///
     /// # Errors
     ///
-    /// [`WildcardError::UnsupportedRanges`] when the active backend has
-    /// no range representation; otherwise as [`Self::install_flow`].
+    /// [`WildcardError::UnsupportedRanges`] on the TSS backend, whose
+    /// MegaFlow layer searches first-match (RVH accepts range rules);
+    /// otherwise as [`Self::install_flow`].
     pub fn install_range_rule(
         &mut self,
         sys: &mut MemorySystem,
@@ -310,16 +308,18 @@ impl VirtualSwitch {
         self.megaflow.insert_range(sys.data_mut(), rule)
     }
 
-    /// Installs a rule into the OpenFlow slow-path layer, returning the
-    /// `(priority, action)` it replaced, if any.
+    /// Installs a rule into the OpenFlow slow-path layer under the mask
+    /// of tuple `tuple_idx`, returning the `(priority, action)` it
+    /// replaced, if any.
     ///
     /// # Errors
     ///
-    /// Propagates [`RuleError`].
+    /// As [`Self::install_flow`].
     ///
     /// # Panics
     ///
-    /// Panics if the switch was built without the OpenFlow layer.
+    /// Panics if the switch was built without the OpenFlow layer
+    /// (`openflow_capacity == 0`).
     pub fn install_openflow_rule(
         &mut self,
         sys: &mut MemorySystem,
@@ -327,11 +327,15 @@ impl VirtualSwitch {
         tuple_idx: usize,
         priority: u16,
         action: u64,
-    ) -> Result<Option<(u16, u64)>, RuleError> {
+    ) -> Result<Option<(u16, u64)>, WildcardError> {
+        let mask = self
+            .masks
+            .get(tuple_idx)
+            .ok_or(WildcardError::UnknownMask)?;
         self.openflow
             .as_mut()
             .expect("switch built without the OpenFlow layer")
-            .insert_rule(sys.data_mut(), tuple_idx, key, priority, action)
+            .insert_masked(sys.data_mut(), mask, key, priority, action)
     }
 
     /// Pre-installs `key -> action` into the EMC (steady-state warm
@@ -350,15 +354,9 @@ impl VirtualSwitch {
                 sys.warm_llc(a);
             }
         }
-        for a in self.megaflow.memory_lines() {
+        let openflow = self.openflow.iter().flat_map(WildcardTable::memory_lines);
+        for a in self.megaflow.memory_lines().into_iter().chain(openflow) {
             sys.warm_llc(a);
-        }
-        if let Some(of) = &self.openflow {
-            for t in of.tuples() {
-                for a in t.table().all_lines().collect::<Vec<_>>() {
-                    sys.warm_llc(a);
-                }
-            }
         }
     }
 

@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FIGS=(fig3 fig9 fig10 fig11 scaling ablation ablation-backends ablation-wildcard scale)
+FIGS=(fig3 fig9 fig10 fig11 fig12 scaling ablation ablation-backends ablation-wildcard scale)
 mode="verify"
 [[ "${1:-}" == "--update" ]] && mode="update"
 

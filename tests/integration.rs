@@ -5,6 +5,7 @@
 use halo_nfv::accel::{AcceleratorConfig, HaloEngine, HybridClassifier, HybridConfig};
 use halo_nfv::classify::{distinct_masks, PacketHeader, SearchMode, TupleSpace};
 use halo_nfv::cpu::{build_sw_lookup, CoreModel, Scratch};
+use halo_nfv::datapath::WildcardTable;
 use halo_nfv::mem::{CoreId, MachineConfig, MemorySystem};
 use halo_nfv::nf::{HashNf, HashNfKind, Scenario, TrafficGen};
 use halo_nfv::sim::{Cycle, SplitMix64};
@@ -310,4 +311,46 @@ fn ddos_flood_pins_the_hybrid_controller_on_halo() {
     );
     assert_eq!(sw + hw, 2_048);
     assert_eq!(hybrid.switches(), 1, "one switch, never back");
+}
+
+/// An upcall installs the resolved flow under the mask of the OpenFlow
+/// tuple that matched, so a later packet differing only in bits that
+/// mask wildcards is served by MegaFlow without a second upcall.
+#[test]
+fn upcall_installs_under_the_matching_tuple_mask() {
+    let mut sys = MemorySystem::new(MachineConfig::small());
+    let mut cfg = SwitchConfig::typical(4, LookupBackend::Software);
+    cfg.openflow_capacity = 4096;
+    cfg.emc_entries = 0; // every packet reaches MegaFlow
+    let masks = cfg.megaflow_masks.clone();
+    let mut vs = VirtualSwitch::new(&mut sys, CoreId(0), cfg);
+    // Tuple 3 wildcards both transport ports; tuples 0-2 each keep at
+    // least one, so installing under any other mask would miss below.
+    let tuple = 3;
+    let first = PacketHeader::synthetic(21);
+    let second = PacketHeader {
+        src_port: first.src_port ^ 0x5A5A,
+        dst_port: first.dst_port ^ 0xA5A5,
+        ..first
+    };
+    assert_eq!(
+        masks[tuple].apply(&first.miniflow()),
+        masks[tuple].apply(&second.miniflow())
+    );
+    assert!(
+        (0..tuple).all(|j| masks[j].apply(&first.miniflow()) != masks[j].apply(&second.miniflow()))
+    );
+    vs.install_openflow_rule(&mut sys, &first.miniflow(), tuple, 5, 321)
+        .unwrap();
+    assert_eq!(vs.megaflow().rules(), 0, "MegaFlow starts empty");
+
+    let (action, t) = vs.process_packet(&mut sys, None, &first, Cycle(0));
+    assert_eq!(action, Some(321));
+    assert_eq!(vs.counters().openflow_hits, 1, "first packet upcalls");
+    assert_eq!(vs.counters().megaflow_hits, 0);
+
+    let (action, _) = vs.process_packet(&mut sys, None, &second, t);
+    assert_eq!(action, Some(321));
+    assert_eq!(vs.counters().megaflow_hits, 1, "served by MegaFlow");
+    assert_eq!(vs.counters().openflow_hits, 1, "no second upcall");
 }
