@@ -1,8 +1,8 @@
 //! Simulator hot-path microbenchmark (`figures bench-hotpath`).
 //!
 //! Measures how fast the *simulator itself* executes — accesses/sec
-//! through [`MemorySystem::access_batch`] for working sets resident in
-//! L1, LLC, and DRAM, plus packets/sec through the full vswitch
+//! through dependent chains of [`MemorySystem::access`] for working
+//! sets resident in L1, LLC, and DRAM, plus packets/sec through the full vswitch
 //! pipeline — and serializes the result as `BENCH_hotpath.json`, the
 //! tracked perf-trajectory datapoint (see DESIGN.md §9).
 //!
@@ -52,9 +52,8 @@ impl HotpathRow {
     }
 }
 
-/// Size of one `access_batch` burst. Large enough to amortize the
-/// per-batch setup, small enough to keep the op buffer L1-resident on
-/// the host.
+/// Ops per timed round. Small enough to keep the op buffer and the
+/// outcome buffer L1-resident on the host.
 const BATCH: usize = 256;
 
 /// Builds a deterministic access stream over a working set of `lines`
@@ -76,7 +75,7 @@ fn build_ops(base: Addr, lines: u64, n: usize, seed: u64) -> Vec<(Addr, AccessKi
 }
 
 /// Runs one memory profile: warm the working set once, then time `ops`
-/// chained accesses through the batched entry point.
+/// chained accesses, each issuing at the previous one's completion.
 fn mem_profile(profile: &'static str, lines: u64, ops: u64, seed: u64) -> HotpathRow {
     let mut sys = MemorySystem::new(MachineConfig::default());
     let base = sys.data_mut().alloc_lines(lines * CACHE_LINE);
@@ -102,7 +101,11 @@ fn mem_profile(profile: &'static str, lines: u64, ops: u64, seed: u64) -> Hotpat
     for round in 0..rounds {
         out.clear();
         round_start = t;
-        t = sys.access_batch(CoreId(0), &streams[(round % 8) as usize], t, &mut out);
+        for &(addr, kind) in &streams[(round % 8) as usize] {
+            let o = sys.access(CoreId(0), addr, kind, t);
+            t = o.complete;
+            out.push(o);
+        }
     }
     let wall_s = t0.elapsed().as_secs_f64();
     // Per-access simulated latencies, post hoc from the outcomes the

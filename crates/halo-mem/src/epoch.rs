@@ -19,7 +19,7 @@
 //!   state **in fixed core order**, single-threaded.
 //!
 //! A core's window is therefore a pure function of (frozen snapshot,
-//! its own private state, its inputs); the thread pool only chooses
+//! its own private state, its inputs); the fan-out only chooses
 //! *which host thread* evaluates each pure function, so any thread count
 //! yields the same bytes.
 //!

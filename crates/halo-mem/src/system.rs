@@ -445,42 +445,6 @@ impl MemorySystem {
         }
     }
 
-    /// Performs a dependent chain of timed accesses: each op issues at
-    /// the previous op's completion cycle (the first at `at`). Appends
-    /// one outcome per op to `out` and returns the completion cycle of
-    /// the last op (`at` when `ops` is empty).
-    ///
-    /// Produces exactly the outcomes and statistics of the equivalent
-    /// scalar loop
-    ///
-    /// ```ignore
-    /// for &(a, k) in ops { t = sys.access(core, a, k, t).complete; }
-    /// ```
-    ///
-    /// but hoists per-access dispatch overhead (core bounds check, stat
-    /// handle resolution) out of the inner loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    pub fn access_batch(
-        &mut self,
-        core: CoreId,
-        ops: &[(Addr, AccessKind)],
-        at: Cycle,
-        out: &mut Vec<AccessOutcome>,
-    ) -> Cycle {
-        assert!(core.0 < self.cfg.cores, "core out of range");
-        out.reserve(ops.len());
-        let mut t = at;
-        for &(addr, kind) in ops {
-            let o = self.access(core, addr, kind, t);
-            t = o.complete;
-            out.push(o);
-        }
-        t
-    }
-
     /// A coherence-neutral snapshot read (the `SNAPSHOT_READ` instruction):
     /// reads the line wherever it is *without* changing any ownership
     /// state and without filling private caches, so the line stays put in

@@ -22,7 +22,8 @@
 //!   multi-threaded sweep runner that fans independent experiment
 //!   points over worker threads with deterministic per-point seeding
 //!   and an ordered merge (parallel output is byte-identical to
-//!   sequential).
+//!   sequential), built on [`par_map`], the scoped, ordered fan-out
+//!   that also runs epoch windows.
 //! * [`TextTable`] — shared result-table formatter for the experiment
 //!   harness.
 //!
@@ -55,8 +56,8 @@ pub use resource::{BankedResource, OutstandingWindow, Resource};
 pub use rng::{SplitMix64, StreamZipf, Zipf};
 pub use stats::{Counter, StatId, Stats, Summary};
 pub use sweep::{
-    default_jobs, observed_parallelism, point_seed, FnPoint, ParallelismReport, SweepPoint,
-    SweepRunner, SweepTiming, JOBS_ENV,
+    default_jobs, observed_parallelism, par_map, point_seed, FnPoint, ParallelismReport,
+    SweepPoint, SweepRunner, JOBS_ENV,
 };
 pub use table::{fmt_f64, TextTable};
 pub use trace::{LatencyHistogram, TraceEvent, Tracer, DEFAULT_TRACE_CAPACITY, HIST_BUCKETS};

@@ -3,9 +3,9 @@
 //! The paper's evaluation is a large set of *independent* simulation
 //! points (table sizes × backends × core counts). Each point owns its
 //! own simulated machine, so the sweep is embarrassingly parallel: this
-//! module fans points out over OS threads through an `mpsc` work queue
-//! and merges the rows back **in point order**, so the serialized
-//! output of a parallel run is byte-identical to a sequential one.
+//! module fans points out over scoped OS threads with [`par_map`] and
+//! returns the rows **in point order**, so the serialized output of a
+//! parallel run is byte-identical to a sequential one.
 //!
 //! Determinism rules:
 //!
@@ -31,57 +31,20 @@
 //! ```
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::Mutex;
+use std::thread::{Builder, Scope};
 use std::time::{Duration, Instant};
 
-/// A task submitted to the persistent worker pool.
-type PoolTask = Box<dyn FnOnce() + Send + 'static>;
-
-/// A worker-thread body handed to the pool's spawn function.
-type WorkerBody = Box<dyn FnOnce() + Send + 'static>;
-
-/// The thread-spawning hook of [`WorkerPool::submit_with`]: takes the
-/// worker's name and body, returns whether the OS actually created the
-/// thread. Injectable so tests can force spawn failures.
-type SpawnFn<'a> = &'a mut dyn FnMut(String, WorkerBody) -> std::io::Result<()>;
-
-/// The process-wide persistent worker pool behind every parallel sweep.
-///
-/// Workers are spawned on first use and then parked on the shared task
-/// queue between sweeps, so an experiment running dozens of sweeps pays
-/// thread creation once per process instead of once per sweep. The pool
-/// grows monotonically to the largest worker count any sweep has asked
-/// for and never shrinks; parked workers cost only their stacks.
-struct WorkerPool {
-    task_tx: mpsc::Sender<PoolTask>,
-    task_rx: Arc<Mutex<mpsc::Receiver<PoolTask>>>,
-    /// Growth reservations: bumped via compare-exchange *before* the
-    /// spawn attempt (so concurrent submitters don't over-spawn) and
-    /// rolled back if the spawn fails.
-    spawned: AtomicUsize,
-    /// Workers whose spawn actually succeeded. Only this counter may
-    /// gate enqueueing: a reservation is not a drainer.
-    alive: AtomicUsize,
-}
-
-// Marks threads that belong to the pool, so a sweep started *from a
-// pool worker* (a nested sweep) runs inline instead of submitting to
-// the pool — every worker could be occupied by the outer sweep, and
-// waiting on them from one of them would deadlock.
-thread_local! {
-    static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-/// Peak number of sweep points observed executing simultaneously in
+/// Peak number of fan-out items observed executing simultaneously in
 /// this process (see [`observed_parallelism`]).
 static OBSERVED_ACTIVE: AtomicUsize = AtomicUsize::new(0);
 static OBSERVED_PEAK: AtomicUsize = AtomicUsize::new(0);
 
-/// The peak number of sweep points that have actually executed
-/// simultaneously in this process, as opposed to the worker count a
-/// sweep was *configured* with. Benchmarks record this next to the
-/// host's parallelism so reported speedups can be sanity-checked
-/// against what really ran concurrently.
+/// The peak number of [`par_map`] items (sweep points, epoch windows)
+/// that have actually executed simultaneously in this process, as
+/// opposed to the worker count a run was *configured* with. Benchmarks
+/// record this next to the host's parallelism so reported speedups can
+/// be sanity-checked against what really ran concurrently.
 #[must_use]
 pub fn observed_parallelism() -> usize {
     OBSERVED_PEAK.load(Ordering::Relaxed)
@@ -104,10 +67,9 @@ pub struct ParallelismReport {
     pub host: usize,
     /// Worker/thread count the parallel runs were configured with.
     pub jobs: usize,
-    /// Peak number of sweep points observed executing simultaneously in
-    /// this process (see [`observed_parallelism`]; 0 until a sweep has
-    /// run — thread-pool runs that bypass the sweep runner leave it
-    /// untouched).
+    /// Peak number of [`par_map`] items observed executing
+    /// simultaneously in this process (see [`observed_parallelism`]; 0
+    /// until a sweep or epoch window has run).
     pub observed: usize,
 }
 
@@ -159,7 +121,7 @@ impl ParallelismReport {
 }
 
 /// Scope guard bumping the observed-concurrency counters around one
-/// point's execution.
+/// [`par_map`] item's execution.
 struct ActivePoint;
 
 impl ActivePoint {
@@ -176,85 +138,85 @@ impl Drop for ActivePoint {
     }
 }
 
-impl WorkerPool {
-    fn new() -> Self {
-        let (task_tx, task_rx) = mpsc::channel();
-        WorkerPool {
-            task_tx,
-            task_rx: Arc::new(Mutex::new(task_rx)),
-            spawned: AtomicUsize::new(0),
-            alive: AtomicUsize::new(0),
-        }
-    }
+/// Maps `f` over `items` on up to `jobs` threads and returns the
+/// results in input order.
+///
+/// With `min(jobs, items.len()) <= 1` every item runs inline on the
+/// calling thread. Otherwise the items sit in one shared queue inside a
+/// [`std::thread::scope`]: up to `jobs - 1` scoped workers are spawned
+/// (spawning stops at the first OS error) and the calling thread drains
+/// the same queue, so no item is ever stranded. Because the threads are
+/// scoped, `items` and `f` may borrow from the caller, and a `par_map`
+/// nested inside `f` simply fans out again. Every item runs under the
+/// [`observed_parallelism`] counter.
+///
+/// # Examples
+///
+/// ```
+/// let words = ["a", "bb", "ccc"];
+/// let lens = halo_sim::par_map(words.iter().collect(), 2, |w| w.len());
+/// assert_eq!(lens, vec![1, 2, 3]);
+/// ```
+///
+/// # Panics
+///
+/// Panics if `f` panics on any item, once every worker has stopped.
+pub fn par_map<T: Send, R: Send>(items: Vec<T>, jobs: usize, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    par_map_with(items, jobs, f, |i, scope, body| {
+        Builder::new()
+            .name(format!("halo-par-{i}"))
+            .spawn_scoped(scope, body)
+            .map(drop)
+    })
+}
 
-    fn global() -> &'static WorkerPool {
-        static POOL: OnceLock<WorkerPool> = OnceLock::new();
-        POOL.get_or_init(WorkerPool::new)
+/// [`par_map`] with an injectable spawner: `spawn(i, scope, body)`
+/// starts worker `i` running `body` in `scope`, or reports why it could
+/// not. Tests use it to force spawn failures.
+fn par_map_with<T: Send, R: Send>(
+    items: Vec<T>,
+    jobs: usize,
+    f: impl Fn(T) -> R + Sync,
+    spawn: impl for<'s, 'e> Fn(
+        usize,
+        &'s Scope<'s, 'e>,
+        Box<dyn FnOnce() + Send + 's>,
+    ) -> std::io::Result<()>,
+) -> Vec<R> {
+    let run = |item| {
+        let _active = ActivePoint::enter();
+        f(item)
+    };
+    let n = items.len();
+    let jobs = jobs.min(n);
+    if jobs <= 1 {
+        return items.into_iter().map(run).collect();
     }
-
-    /// Grows the pool to at least `want` workers, then enqueues `task`.
-    fn submit(&self, want: usize, task: PoolTask) {
-        self.submit_with(want, task, &mut |name, body| {
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(body)
-                .map(|_| ())
-        });
-    }
-
-    /// [`submit`](Self::submit) with an injectable thread spawner.
-    ///
-    /// The `spawned` counter is reserved optimistically via
-    /// compare-exchange (so concurrent submitters don't over-spawn), but
-    /// a reservation whose `spawn` call then fails is **rolled back** —
-    /// otherwise the pool would believe workers exist that don't, and a
-    /// later sweep would enqueue work no thread ever drains and wait on
-    /// its result channel forever. If after the growth attempt the pool
-    /// has no workers at all, `task` runs inline on the caller's thread
-    /// instead of being enqueued (same no-stranded-work argument).
-    fn submit_with(&self, want: usize, task: PoolTask, spawn: SpawnFn<'_>) {
-        let mut cur = self.spawned.load(Ordering::Relaxed);
-        while cur < want {
-            match self.spawned.compare_exchange_weak(
-                cur,
-                cur + 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    let rx = Arc::clone(&self.task_rx);
-                    let body: WorkerBody = Box::new(move || {
-                        IN_POOL_WORKER.with(|f| f.set(true));
-                        loop {
-                            // The lock guards only the queue pop; it is
-                            // released before the task runs.
-                            let next = rx.lock().expect("pool queue lock").recv();
-                            let Ok(task) = next else { break };
-                            task();
-                        }
-                    });
-                    if spawn(format!("halo-sweep-{cur}"), body).is_err() {
-                        // Roll back the optimistic reservation and stop
-                        // growing: if one spawn failed (thread limit,
-                        // out of memory), retrying immediately will too.
-                        self.spawned.fetch_sub(1, Ordering::Relaxed);
-                        break;
-                    }
-                    self.alive.fetch_add(1, Ordering::Relaxed);
-                    cur += 1;
-                }
-                Err(seen) => cur = seen,
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let drain = || loop {
+        // The lock guards only the pop; it is released before `run`.
+        let next = queue.lock().expect("par_map queue lock").next();
+        let Some((i, item)) = next else { break };
+        let r = run(item);
+        slots.lock().expect("par_map result lock")[i] = Some(r);
+    };
+    std::thread::scope(|s| {
+        for i in 1..jobs {
+            if spawn(i, s, Box::new(drain)).is_err() {
+                // A failed spawn (thread limit, out of memory) will fail
+                // again; the threads already running finish the queue.
+                break;
             }
         }
-        if self.alive.load(Ordering::Relaxed) == 0 {
-            // Degraded mode: no worker exists and none could be spawned.
-            // Run the task inline — enqueueing it would strand it (and
-            // any result channel it holds) forever.
-            task();
-            return;
-        }
-        self.task_tx.send(task).expect("pool queue open");
-    }
+        drain();
+    });
+    slots
+        .into_inner()
+        .expect("par_map result lock")
+        .into_iter()
+        .map(|r| r.expect("every item produced a result"))
+        .collect()
 }
 
 /// Derives the deterministic RNG seed of one sweep point from the
@@ -349,25 +311,6 @@ where
     }
 }
 
-/// Wall-clock accounting for one sweep run.
-#[derive(Debug, Clone)]
-pub struct SweepTiming {
-    /// Total wall-clock time of the sweep.
-    pub wall: Duration,
-    /// Per-point wall-clock times, in point order.
-    pub per_point: Vec<Duration>,
-    /// Worker threads actually used.
-    pub jobs: usize,
-}
-
-impl SweepTiming {
-    /// Sum of per-point times (the sequential-equivalent work).
-    #[must_use]
-    pub fn cpu_time(&self) -> Duration {
-        self.per_point.iter().sum()
-    }
-}
-
 /// Environment variable overriding the worker-thread count.
 pub const JOBS_ENV: &str = "HALO_JOBS";
 
@@ -431,103 +374,32 @@ impl SweepRunner {
         self.jobs
     }
 
-    /// Runs every point and returns the rows in point order.
-    pub fn run<P: SweepPoint + 'static>(&self, points: Vec<P>) -> Vec<P::Row>
-    where
-        P::Row: 'static,
-    {
-        self.run_timed(points).0
-    }
-
-    /// Runs every point, returning rows in point order plus wall-clock
-    /// accounting. Parallel runs execute on the process-wide persistent
-    /// worker pool; a sweep started from inside a pool worker (a nested
-    /// sweep) runs inline to keep the pool deadlock-free.
-    pub fn run_timed<P: SweepPoint + 'static>(&self, points: Vec<P>) -> (Vec<P::Row>, SweepTiming)
-    where
-        P::Row: 'static,
-    {
+    /// Runs every point through [`par_map`] and returns the rows in
+    /// point order, reporting progress on stderr when enabled.
+    pub fn run<P: SweepPoint>(&self, points: Vec<P>) -> Vec<P::Row> {
         let n = points.len();
-        let nested = IN_POOL_WORKER.with(std::cell::Cell::get);
-        let jobs = if nested { 1 } else { self.jobs.min(n.max(1)) };
+        let jobs = self.jobs.min(n.max(1));
         let sweep_start = Instant::now();
-        let mut rows: Vec<Option<P::Row>> = Vec::with_capacity(n);
-        rows.resize_with(n, || None);
-        let mut times = vec![Duration::ZERO; n];
-
-        if jobs <= 1 {
-            for (i, p) in points.iter().enumerate() {
-                let t0 = Instant::now();
-                let active = ActivePoint::enter();
-                let row = p.run();
-                drop(active);
-                let dt = t0.elapsed();
-                self.report(i + 1, n, &p.label(), dt);
-                rows[i] = Some(row);
-                times[i] = dt;
-            }
-        } else {
-            // Work queue: an mpsc channel pre-loaded with every point.
-            // `jobs` drain tasks go to the persistent pool; each pulls
-            // points from this run's queue behind a mutex (the receiver
-            // is the queue head) and pushes `(index, row)` results back.
-            let (work_tx, work_rx) = mpsc::channel();
-            for item in points.into_iter().enumerate() {
-                work_tx.send(item).expect("queue open");
-            }
-            drop(work_tx);
-            let work_rx = Arc::new(Mutex::new(work_rx));
-            let (res_tx, res_rx) = mpsc::channel();
-            let pool = WorkerPool::global();
-            for _ in 0..jobs {
-                let work_rx = Arc::clone(&work_rx);
-                let res_tx = res_tx.clone();
-                pool.submit(
-                    jobs,
-                    Box::new(move || loop {
-                        let next = work_rx.lock().expect("queue lock").recv();
-                        let Ok((i, p)) = next else { break };
-                        let t0 = Instant::now();
-                        let active = ActivePoint::enter();
-                        let row = p.run();
-                        drop(active);
-                        let dt = t0.elapsed();
-                        if res_tx.send((i, p.label(), row, dt)).is_err() {
-                            break;
-                        }
-                    }),
-                );
-            }
-            drop(res_tx);
-            let mut done = 0usize;
-            while let Ok((i, label, row, dt)) = res_rx.recv() {
-                done += 1;
-                self.report(done, n, &label, dt);
-                rows[i] = Some(row);
-                times[i] = dt;
-            }
-        }
-
-        let merged: Vec<P::Row> = rows
-            .into_iter()
-            .map(|r| r.expect("every point produced a row"))
-            .collect();
-        let timing = SweepTiming {
-            wall: sweep_start.elapsed(),
-            per_point: times,
-            jobs,
-        };
+        let done = AtomicUsize::new(0);
+        let timed = par_map(points, jobs, |p| {
+            let t0 = Instant::now();
+            let row = p.run();
+            let dt = t0.elapsed();
+            self.report(done.fetch_add(1, Ordering::Relaxed) + 1, n, &p.label(), dt);
+            (row, dt)
+        });
+        let cpu: Duration = timed.iter().map(|&(_, dt)| dt).sum();
         if self.progress {
             eprintln!(
                 "[{}] {} points in {:.2?} ({} jobs, {:.2?} cpu)",
                 self.name,
                 n,
-                timing.wall,
-                timing.jobs,
-                timing.cpu_time()
+                sweep_start.elapsed(),
+                jobs,
+                cpu
             );
         }
-        (merged, timing)
+        timed.into_iter().map(|(row, _)| row).collect()
     }
 
     fn report(&self, done: usize, total: usize, label: &str, dt: Duration) {
@@ -632,37 +504,37 @@ mod tests {
     }
 
     #[test]
-    fn timing_counts_every_point() {
-        let points: Vec<_> = (0..5u64)
-            .map(|i| FnPoint::new(String::new(), move || i))
-            .collect();
-        let (rows, timing) = SweepRunner::new("t", 2).quiet().run_timed(points);
-        assert_eq!(rows, vec![0, 1, 2, 3, 4]);
-        assert_eq!(timing.per_point.len(), 5);
-        assert_eq!(timing.jobs, 2);
-        assert!(timing.wall >= Duration::ZERO);
+    fn par_map_borrows_non_static_items() {
+        let words: Vec<String> = (0..10).map(|i| format!("w{i}")).collect();
+        let prefix = String::from(">");
+        let out = par_map(words.iter().collect(), 3, |w| format!("{prefix}{w}"));
+        let expect: Vec<String> = words.iter().map(|w| format!(">{w}")).collect();
+        assert_eq!(out, expect);
     }
 
     #[test]
-    fn pool_is_reused_across_sweeps() {
-        // Back-to-back parallel sweeps must not accumulate threads: the
-        // persistent pool grows to the largest jobs count and stops.
-        let mk = |tag: u64| {
-            (0..6u64)
-                .map(move |i| FnPoint::new(String::new(), move || tag * 100 + i))
-                .collect::<Vec<_>>()
-        };
-        for round in 0..4u64 {
-            let rows = SweepRunner::new("pool-reuse", 3).quiet().run(mk(round));
-            assert_eq!(rows, (0..6).map(|i| round * 100 + i).collect::<Vec<_>>());
-        }
-        assert!(observed_parallelism() >= 1);
+    fn par_map_runs_items_concurrently_and_counts_them() {
+        // Each item waits until both are in flight, so both return
+        // `true` only if the calling thread and the spawned worker
+        // really run side by side. The deadline turns a serialized
+        // run into a failure instead of a hang.
+        let arrived = AtomicUsize::new(0);
+        let out = par_map(vec![0u8, 1], 2, |_| {
+            arrived.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while arrived.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            arrived.load(Ordering::SeqCst) == 2
+        });
+        assert_eq!(out, vec![true, true]);
+        assert!(observed_parallelism() >= 2);
     }
 
     #[test]
-    fn nested_sweep_from_pool_worker_runs_inline() {
-        // A point that itself runs a parallel sweep must complete (the
-        // inner sweep falls back to inline execution) with correct rows.
+    fn nested_sweeps_fan_out_again() {
+        // A point that itself runs a parallel sweep must complete with
+        // correct rows: scoped threads have no shared pool to exhaust.
         let points: Vec<_> = (0..3u64)
             .map(|outer| {
                 FnPoint::new(format!("outer{outer}"), move || {
@@ -680,99 +552,56 @@ mod tests {
         }
     }
 
-    /// Regression test for the spawn-failure counter leak: a failed
-    /// `thread::Builder::spawn` used to leave the optimistic
-    /// compare-exchange increment in place, so the pool believed
-    /// phantom workers existed and a later sweep could enqueue work no
-    /// thread would ever drain. The counter must roll back and the
-    /// submitted task must still run (inline, on the caller's thread).
-    #[test]
-    fn spawn_failure_rolls_back_counter_and_runs_inline() {
-        let pool = WorkerPool::new();
-        let ran = Arc::new(AtomicUsize::new(0));
-        let r = Arc::clone(&ran);
-        let mut failing: Box<dyn FnMut(String, WorkerBody) -> std::io::Result<()>> =
-            Box::new(|_name, _body| {
-                Err(std::io::Error::new(
-                    std::io::ErrorKind::WouldBlock,
-                    "injected spawn failure",
-                ))
-            });
-        pool.submit_with(
-            4,
-            Box::new(move || {
-                r.fetch_add(1, Ordering::SeqCst);
-            }),
-            &mut *failing,
-        );
-        assert_eq!(
-            pool.spawned.load(Ordering::Relaxed),
-            0,
-            "failed spawn must roll its reservation back"
-        );
-        assert_eq!(pool.alive.load(Ordering::Relaxed), 0);
-        assert_eq!(
-            ran.load(Ordering::SeqCst),
-            1,
-            "with zero workers the task must run inline, not be stranded"
-        );
+    fn injected_failure() -> std::io::Error {
+        std::io::Error::new(std::io::ErrorKind::WouldBlock, "injected spawn failure")
+    }
 
-        // The pool is not poisoned: once spawning works again it grows
-        // and drains normally.
-        let (tx, rx) = mpsc::channel();
-        pool.submit(
-            2,
-            Box::new(move || {
-                tx.send(7u32).expect("result channel open");
-            }),
+    /// With every spawn failing, the calling thread drains the whole
+    /// queue itself, and spawning stops at the first failure.
+    #[test]
+    fn spawn_failure_runs_every_item_on_the_caller() {
+        let attempts = std::cell::Cell::new(0usize);
+        let out = par_map_with(
+            (0..16u64).collect(),
+            4,
+            |i| i * 3,
+            |_, _, _| {
+                attempts.set(attempts.get() + 1);
+                Err(injected_failure())
+            },
         );
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(30))
-                .expect("task drained"),
-            7
-        );
-        assert_eq!(pool.spawned.load(Ordering::Relaxed), 2);
-        assert_eq!(pool.alive.load(Ordering::Relaxed), 2);
+        assert_eq!(out, (0..16u64).map(|i| i * 3).collect::<Vec<_>>());
+        assert_eq!(attempts.get(), 1, "spawning must stop at the first error");
     }
 
     /// Partial growth: the first spawn succeeds, the second fails. The
-    /// pool must settle on exactly one worker (no leaked reservation)
-    /// and that worker must drain the submitted task.
+    /// one worker and the calling thread share the queue and every row
+    /// still comes back, in order.
     #[test]
-    fn partial_spawn_failure_keeps_pool_functional() {
-        let pool = WorkerPool::new();
-        let mut calls = 0usize;
-        let mut flaky = |name: String, body: WorkerBody| {
-            calls += 1;
-            if calls >= 2 {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::WouldBlock,
-                    "injected spawn failure",
-                ));
-            }
-            std::thread::Builder::new()
-                .name(name)
-                .spawn(body)
-                .map(|_| ())
-        };
-        let (tx, rx) = mpsc::channel();
-        pool.submit_with(
+    fn partial_spawn_failure_still_returns_every_row() {
+        let attempts = std::cell::Cell::new(0usize);
+        let out = par_map_with(
+            (0..64u64).collect(),
             4,
-            Box::new(move || {
-                tx.send(1u32).expect("result channel open");
-            }),
-            &mut flaky,
+            |i| point_seed("partial", i),
+            |i, scope, body| {
+                attempts.set(attempts.get() + 1);
+                if attempts.get() >= 2 {
+                    return Err(injected_failure());
+                }
+                Builder::new()
+                    .name(format!("test-par-{i}"))
+                    .spawn_scoped(scope, body)
+                    .map(drop)
+            },
         );
         assert_eq!(
-            rx.recv_timeout(Duration::from_secs(30)).expect("drained"),
-            1
+            out,
+            (0..64u64)
+                .map(|i| point_seed("partial", i))
+                .collect::<Vec<_>>()
         );
-        assert_eq!(
-            pool.spawned.load(Ordering::Relaxed),
-            1,
-            "one success + one rolled-back failure"
-        );
-        assert_eq!(pool.alive.load(Ordering::Relaxed), 1);
+        assert_eq!(attempts.get(), 2);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use halo_datapath::{
     WildcardMatcher, WildcardTable,
 };
 use halo_mem::{CoreId, EpochCore, MemorySystem, WindowOutcome, CACHE_LINE};
-use halo_sim::{Cycle, SplitMix64};
+use halo_sim::{par_map, Cycle, SplitMix64};
 use halo_tables::{hash_key, SEED_PRIMARY};
 
 use crate::pipeline::LookupBackend;
@@ -618,9 +618,9 @@ impl MultiCoreDatapath {
     }
 
     /// Executes one epoch window: splits the memory system into
-    /// per-core shards, runs every PMD's packet share (on `threads` OS
-    /// threads when more than one), and merges the outcomes back in
-    /// fixed core order. Returns how many packets matched.
+    /// per-core shards, runs every PMD's packet share through
+    /// [`par_map`] on up to `threads` OS threads, and merges the outcomes
+    /// back in fixed core order. Returns how many packets matched.
     ///
     /// Worker assignment is pure scheduling: each job reads only the
     /// frozen master snapshot and its own private state, and the merge
@@ -639,44 +639,18 @@ impl MultiCoreDatapath {
             per_core[p].push(flow);
         }
         let shards = sys.epoch_split(cores);
-        let mut jobs: Vec<WindowJob> = shards
+        let jobs: Vec<WindowJob> = shards
             .into_iter()
             .zip(pmds.iter_mut())
             .zip(per_core)
             .map(|((shard, pmd), flows)| WindowJob { shard, pmd, flows })
             .collect();
-        let mut outcomes = Vec::with_capacity(cores);
-        let mut matched = 0u64;
-        if threads <= 1 {
-            for job in jobs {
-                let (o, m) = exec_window(job, megaflow);
-                outcomes.push(o);
-                matched += m;
-            }
-        } else {
-            let per = jobs.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                let mut handles = Vec::new();
-                while !jobs.is_empty() {
-                    let take = per.min(jobs.len());
-                    let bucket: Vec<WindowJob> = jobs.drain(..take).collect();
-                    handles.push(s.spawn(move || {
-                        bucket
-                            .into_iter()
-                            .map(|j| exec_window(j, megaflow))
-                            .collect::<Vec<_>>()
-                    }));
-                }
-                for h in handles {
-                    for (o, m) in h.join().expect("window worker panicked") {
-                        outcomes.push(o);
-                        matched += m;
-                    }
-                }
-            });
-        }
+        let (outcomes, matched): (Vec<WindowOutcome>, Vec<u64>) =
+            par_map(jobs, threads, |job| exec_window(job, megaflow))
+                .into_iter()
+                .unzip();
         sys.epoch_merge(outcomes);
-        matched
+        matched.iter().sum()
     }
 }
 

@@ -7,7 +7,8 @@
 #   scripts/golden.sh --update   # rewrite GOLDEN.sha256 from this tree
 #
 # The figures are deterministic in their seeds and byte-identical at
-# any --jobs level (tests/hotpath.rs pins this), so digest equality is
+# any --jobs level (this script re-runs each one at --jobs 1 and 4 and
+# fails on any byte difference from --jobs 2), so digest equality is
 # a meaningful "the datapath still computes exactly the same results"
 # check, not a flaky snapshot. A refactor that is supposed to preserve
 # behavior must leave GOLDEN.sha256 untouched; a change that
@@ -55,6 +56,18 @@ for fig in "${FIGS[@]}"; do
     # drop a JSON artifact into the working directory, and those must
     # not land in the repo root during a golden run.
     (cd "$out" && "$bin" --quick --jobs 2 "$fig" > "$out/$fig.txt")
+done
+
+for fig in "${FIGS[@]}"; do
+    for jobs in 1 4; do
+        echo "==> figures --quick --jobs $jobs $fig (must match --jobs 2)"
+        (cd "$out" && "$bin" --quick --jobs "$jobs" "$fig" > "$out/$fig.j$jobs.txt")
+        if ! cmp -s "$out/$fig.txt" "$out/$fig.j$jobs.txt"; then
+            echo "golden: $fig output differs between --jobs 2 and --jobs $jobs" >&2
+            diff "$out/$fig.txt" "$out/$fig.j$jobs.txt" | head -20 >&2 || true
+            exit 1
+        fi
+    done
 done
 
 if [[ "$mode" == "update" ]]; then

@@ -1,9 +1,9 @@
 //! Hot-path equivalence suite: the batched entry points
-//! (`MemorySystem::access_batch`, `VirtualSwitch::process_burst`,
-//! `HaloEngine::dispatch_burst` via the HALO-blocking backend) must
-//! produce exactly the outcomes and statistics of their scalar
-//! equivalents, and the rewritten lock table / flat cache arrays must
-//! satisfy the halo-check invariant auditor under churn.
+//! (`VirtualSwitch::process_burst`, `HaloEngine::dispatch_burst` via
+//! the HALO-blocking backend) must produce exactly the outcomes and
+//! statistics of their scalar equivalents, and the rewritten lock
+//! table / flat cache arrays must satisfy the halo-check invariant
+//! auditor under churn.
 
 use std::collections::HashMap;
 
@@ -11,80 +11,17 @@ use halo_nfv::accel::{AcceleratorConfig, HaloEngine};
 use halo_nfv::check::audit_system;
 use halo_nfv::classify::PacketHeader;
 use halo_nfv::datapath::TableBackend;
-use halo_nfv::mem::{AccessKind, AccessOutcome, Addr, CoreId, MachineConfig, MemorySystem};
+use halo_nfv::mem::{CoreId, MachineConfig, MemorySystem};
 use halo_nfv::sim::{Cycle, SplitMix64};
 use halo_nfv::vswitch::{
     LookupBackend, MultiCoreConfig, MultiCoreDatapath, StreamReport, SwitchConfig, VirtualSwitch,
 };
-
-/// A seeded mixed op stream over a working set large enough to exercise
-/// L1 hits, LLC hits, DRAM fills, and capacity evictions.
-fn op_stream(base: Addr, lines: u64, n: usize, seed: u64) -> Vec<(Addr, AccessKind)> {
-    let mut rng = SplitMix64::new(seed);
-    (0..n)
-        .map(|_| {
-            let a = base + (rng.next_u64() % lines) * 64;
-            let kind = if rng.next_u64().is_multiple_of(4) {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            (a, kind)
-        })
-        .collect()
-}
 
 fn collect_counters(sys: &MemorySystem) -> Vec<(String, u64)> {
     sys.stats()
         .counters()
         .map(|(k, v)| (k.to_string(), v))
         .collect()
-}
-
-/// `access_batch` must replay a 10k-op stream to byte-identical
-/// outcomes and final statistics as the scalar `access` loop.
-#[test]
-fn access_batch_matches_scalar_stream() {
-    let mk = || {
-        let mut sys = MemorySystem::new(MachineConfig::small());
-        let base = sys.data_mut().alloc_lines(20_000 * 64);
-        (sys, base)
-    };
-    let (mut scalar_sys, base_a) = mk();
-    let (mut batch_sys, base_b) = mk();
-    assert_eq!(base_a, base_b, "identical construction");
-    let ops = op_stream(base_a, 20_000, 10_000, 0x0048_6F74_5061_7468);
-
-    let mut scalar_out: Vec<AccessOutcome> = Vec::with_capacity(ops.len());
-    let mut t = Cycle(0);
-    for &(a, k) in &ops {
-        let o = scalar_sys.access(CoreId(1), a, k, t);
-        t = o.complete;
-        scalar_out.push(o);
-    }
-    let scalar_final = t;
-
-    let mut batch_out: Vec<AccessOutcome> = Vec::with_capacity(ops.len());
-    // Uneven chunk sizes so batch boundaries land mid-stream.
-    let mut tb = Cycle(0);
-    for chunk in ops.chunks(257) {
-        tb = batch_sys.access_batch(CoreId(1), chunk, tb, &mut batch_out);
-    }
-
-    assert_eq!(tb, scalar_final, "final completion cycle diverged");
-    assert_eq!(batch_out.len(), scalar_out.len());
-    for (i, (s, b)) in scalar_out.iter().zip(&batch_out).enumerate() {
-        assert_eq!(
-            (s.complete, s.level),
-            (b.complete, b.level),
-            "outcome {i} diverged"
-        );
-    }
-    assert_eq!(
-        collect_counters(&scalar_sys),
-        collect_counters(&batch_sys),
-        "final statistics diverged"
-    );
 }
 
 fn build_switch(backend: LookupBackend) -> (MemorySystem, VirtualSwitch, Option<HaloEngine>) {
