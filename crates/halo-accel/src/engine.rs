@@ -223,29 +223,6 @@ impl HaloEngine {
         self.dispatch_for_slice(sys, core, slice, trace, key_hash, key_addr, dest, at)
     }
 
-    /// Dispatches a dependent chain of blocking queries: each query
-    /// issues `gap` cycles after the previous query's completion (the
-    /// first at `at`). Returns the cycle `gap` past the last completion
-    /// (`at` when `queries` is empty) — exactly the scalar
-    /// [`dispatch`](Self::dispatch) loop, with the per-query dispatch
-    /// overhead paid once per burst. This is the `LOOKUP_B` tuple-walk
-    /// path of the vswitch MegaFlow search.
-    pub fn dispatch_burst<'a>(
-        &mut self,
-        sys: &mut MemorySystem,
-        core: CoreId,
-        queries: impl IntoIterator<Item = (Addr, &'a LookupTrace, u64)>,
-        gap: Cycles,
-        at: Cycle,
-    ) -> Cycle {
-        let mut t = at;
-        for (table_addr, trace, key_hash) in queries {
-            let out = self.dispatch(sys, core, table_addr, trace, key_hash, None, None, t);
-            t = out.complete + gap;
-        }
-        t
-    }
-
     /// `LOOKUP_B`: blocking lookup. The core stalls until the result
     /// returns over the interconnect (load-like semantics). Returns the
     /// value and the cycle the core resumes.

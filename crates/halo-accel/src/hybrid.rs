@@ -8,7 +8,7 @@
 
 use crate::engine::HaloEngine;
 use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
-use halo_mem::{Addr, CoreId, MemorySystem};
+use halo_mem::{CoreId, MemorySystem};
 use halo_sim::Cycle;
 use halo_tables::{hash_key, CuckooTable, FlowKey, SEED_PRIMARY};
 
@@ -170,12 +170,6 @@ impl HybridClassifier {
             self.mode = mode;
             self.switches += 1;
         }
-    }
-
-    /// Destination address pool base for scratch use (exposed for tests).
-    #[must_use]
-    pub fn scratch_base(&self) -> Addr {
-        self.scratch.base()
     }
 }
 

@@ -7,23 +7,16 @@
 //! come back in configuration order, keeping the printed tables
 //! byte-identical at any `--jobs` level.
 
+use crate::experiments::harness::{
+    filled_table, kilo_throughput, llc_table, lookup_b_chain, lookup_nb_batches, sw_lookups,
+    uniform_keys, Approach, SingleTableWorkload,
+};
 use halo_accel::{AcceleratorConfig, DispatchPolicy, HaloEngine, HybridClassifier, HybridConfig};
-use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
+use halo_cpu::build_sw_lookup_bulk;
+use halo_datapath::{LookupBackend, LookupExecutor};
 use halo_mem::{AccessKind, CoreId, MachineConfig, MemorySystem};
 use halo_sim::{fmt_f64, point_seed, Cycle, Cycles, FnPoint, SplitMix64, SweepRunner, TextTable};
 use halo_tables::{CuckooTable, FlowKey};
-
-fn build_table(sys: &mut MemorySystem, flows: usize) -> CuckooTable {
-    let mut table = CuckooTable::with_capacity_for(sys.data_mut(), flows, 0.8, 13);
-    for id in 0..flows as u64 {
-        let _ = table.insert(sys.data_mut(), &FlowKey::synthetic(id, 13), id);
-    }
-    let lines: Vec<_> = table.all_lines().collect();
-    for a in lines {
-        sys.warm_llc(a);
-    }
-    table
-}
 
 /// Boxed row-producing point used by studies whose configurations need
 /// heterogeneous closures.
@@ -48,25 +41,16 @@ pub fn metadata_cache() -> TextTable {
             let seed = point_seed("ablation.metadata_cache", i as u64);
             let f: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
                 let mut sys = MemorySystem::new(MachineConfig::default());
-                let table = build_table(&mut sys, 20_000);
+                let table = llc_table(&mut sys, 20_000);
                 let cfg = AcceleratorConfig {
                     metadata_cache: enabled,
                     ..AcceleratorConfig::default()
                 };
-                let mut engine = HaloEngine::new(&sys, cfg);
-                let mut rng = SplitMix64::new(seed);
-                let mut total = 0u64;
-                let mut t0 = Cycle(0);
                 const N: u64 = 200;
-                for _ in 0..N {
-                    let key = FlowKey::synthetic(rng.below(20_000), 13);
-                    let (_, done) = engine.lookup_b(&mut sys, CoreId(0), &table, &key, None, t0);
-                    total += (done - t0).0;
-                    t0 = done;
-                }
+                let total = lookup_b_chain(&mut sys, cfg, &table, N, uniform_keys(seed, 20_000));
                 vec![
                     if enabled { "on (10 tables)" } else { "off" }.into(),
-                    fmt_f64(total as f64 / N as f64),
+                    fmt_f64(total.0 as f64 / N as f64),
                 ]
             });
             FnPoint::new(
@@ -92,42 +76,15 @@ pub fn scoreboard_depth() -> TextTable {
             let seed = point_seed("ablation.scoreboard_depth", i as u64);
             let f: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
                 let mut sys = MemorySystem::new(MachineConfig::default());
-                let table = build_table(&mut sys, 20_000);
+                let table = llc_table(&mut sys, 20_000);
                 let cfg = AcceleratorConfig {
                     scoreboard_depth: depth,
                     ..AcceleratorConfig::default()
                 };
-                let mut engine = HaloEngine::new(&sys, cfg);
-                let dest = sys.data_mut().alloc_lines(64);
-                let mut rng = SplitMix64::new(seed);
-                let start = Cycle(0);
-                let mut t0 = start;
                 const N: u64 = 400;
-                let mut done_total = 0u64;
-                while done_total < N {
-                    let batch = 8.min(N - done_total);
-                    let mut batch_done = t0;
-                    for i in 0..batch {
-                        let key = FlowKey::synthetic(rng.below(20_000), 13);
-                        let h = engine.lookup_nb(
-                            &mut sys,
-                            CoreId(0),
-                            &table,
-                            &key,
-                            None,
-                            dest + i * 8,
-                            t0 + Cycles(i),
-                        );
-                        batch_done = batch_done.max(h.result_at);
-                    }
-                    let (_, snap) = engine.snapshot_read(&mut sys, CoreId(0), dest, batch_done);
-                    t0 = snap;
-                    done_total += batch;
-                }
-                vec![
-                    depth.to_string(),
-                    fmt_f64(crate::experiments::harness::kilo_throughput(N, t0 - start)),
-                ]
+                let elapsed =
+                    lookup_nb_batches(&mut sys, cfg, &table, N, uniform_keys(seed, 20_000));
+                vec![depth.to_string(), fmt_f64(kilo_throughput(N, elapsed))]
             });
             FnPoint::new(format!("scoreboard depth {depth}"), f)
         })
@@ -157,7 +114,7 @@ pub fn dispatch_policy() -> TextTable {
                 // Ten tables, queries spread across them (a tuple-space-like
                 // multi-table pattern).
                 let tables: Vec<CuckooTable> =
-                    (0..10).map(|_| build_table(&mut sys, 2_000)).collect();
+                    (0..10).map(|_| llc_table(&mut sys, 2_000)).collect();
                 let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
                 engine.set_policy(policy);
                 let mut rng = SplitMix64::new(seed);
@@ -188,10 +145,7 @@ pub fn dispatch_policy() -> TextTable {
                     .count();
                 vec![
                     name.into(),
-                    fmt_f64(crate::experiments::harness::kilo_throughput(
-                        N,
-                        finish - start,
-                    )),
+                    fmt_f64(kilo_throughput(N, finish - start)),
                     used.to_string(),
                 ]
             });
@@ -215,12 +169,10 @@ pub fn locking() -> TextTable {
     // Software locking: reader pays the version-check instructions.
     let software: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
         let mut sys = MemorySystem::new(MachineConfig::default());
-        let mut table = build_table(&mut sys, 5_000);
-        let mut scratch = Scratch::new(&mut sys);
-        scratch.warm(&mut sys, CoreId(0));
-        let mut core = CoreModel::new(CoreId(0), sys.config());
+        let mut table = llc_table(&mut sys, 5_000);
+        let mut exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
+        exec.warm_scratch(&mut sys);
         let mut rng = SplitMix64::new(sw_seed);
-        let mut total = 0u64;
         let mut t0 = Cycle(0);
         const N: u64 = 150;
         for i in 0..N {
@@ -231,14 +183,11 @@ pub fn locking() -> TextTable {
             }
             let key = FlowKey::synthetic(rng.below(5_000), 13);
             let tr = table.lookup_traced(sys.data_mut(), &key, true);
-            let prog = build_sw_lookup(&tr, &mut scratch, None);
-            let r = core.run(&prog, &mut sys, t0);
-            total += (r.finish - r.start).0;
-            t0 = r.finish;
+            t0 = exec.run_sw(&mut sys, &tr, None, t0);
         }
         vec![
             "software optimistic".into(),
-            fmt_f64(total as f64 / N as f64),
+            fmt_f64(t0.0 as f64 / N as f64),
         ]
     });
 
@@ -247,7 +196,7 @@ pub fn locking() -> TextTable {
     // per-lookup instructions.
     let hardware: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
         let mut sys = MemorySystem::new(MachineConfig::default());
-        let mut table = build_table(&mut sys, 5_000);
+        let mut table = llc_table(&mut sys, 5_000);
         let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
         let mut rng = SplitMix64::new(hw_seed);
         let mut total = 0u64;
@@ -294,11 +243,8 @@ pub fn hybrid_threshold() -> TextTable {
             let f: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
                 // Software path with the table warm in private caches.
                 let mut sys = MemorySystem::new(MachineConfig::default());
-                let mut table = CuckooTable::with_capacity_for(sys.data_mut(), flows, 0.8, 13);
-                for id in 0..flows as u64 {
-                    let _ = table.insert(sys.data_mut(), &FlowKey::synthetic(id, 13), id);
-                }
-                for a in table.all_lines().collect::<Vec<_>>() {
+                let table = filled_table(&mut sys, flows);
+                for a in table.all_lines() {
                     // Small working sets stay private-cache resident in steady
                     // state; larger ones realistically live in the LLC (the
                     // rest of the datapath competes for L1/L2).
@@ -308,36 +254,14 @@ pub fn hybrid_threshold() -> TextTable {
                         sys.warm_llc(a);
                     }
                 }
-                let mut scratch = Scratch::new(&mut sys);
-                scratch.warm(&mut sys, CoreId(0));
-                let mut core = CoreModel::new(CoreId(0), sys.config());
-                let mut rng = SplitMix64::new(seed);
-                let mut sw_total = 0u64;
-                let mut t0 = Cycle(0);
                 const N: u64 = 150;
-                for _ in 0..N {
-                    let key = FlowKey::synthetic(rng.below(flows as u64), 13);
-                    let tr = table.lookup_traced(sys.data_mut(), &key, true);
-                    let prog = build_sw_lookup(&tr, &mut scratch, None);
-                    let r = core.run(&prog, &mut sys, t0);
-                    sw_total += (r.finish - r.start).0;
-                    t0 = r.finish;
-                }
-                let sw = sw_total as f64 / N as f64;
+                let keys = || uniform_keys(seed, flows as u64);
+                let sw = sw_lookups(&mut sys, &table, N, true, keys()).0 as f64 / N as f64;
 
                 let mut sys = MemorySystem::new(MachineConfig::default());
-                let table2 = build_table(&mut sys, flows);
-                let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
-                let mut rng = SplitMix64::new(seed);
-                let mut hw_total = 0u64;
-                let mut t0 = Cycle(0);
-                for _ in 0..N {
-                    let key = FlowKey::synthetic(rng.below(flows as u64), 13);
-                    let (_, done) = engine.lookup_b(&mut sys, CoreId(0), &table2, &key, None, t0);
-                    hw_total += (done - t0).0;
-                    t0 = done;
-                }
-                let hw = hw_total as f64 / N as f64;
+                let table = llc_table(&mut sys, flows);
+                let cfg = AcceleratorConfig::default();
+                let hw = lookup_b_chain(&mut sys, cfg, &table, N, keys()).0 as f64 / N as f64;
                 vec![
                     flows.to_string(),
                     fmt_f64(sw),
@@ -366,13 +290,7 @@ pub fn hybrid_in_action() -> TextTable {
             let seed = point_seed("ablation.hybrid_in_action", i as u64);
             let f: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
                 let mut sys = MemorySystem::new(MachineConfig::default());
-                let mut table = CuckooTable::with_capacity_for(sys.data_mut(), flows, 0.8, 13);
-                for id in 0..flows as u64 {
-                    let _ = table.insert(sys.data_mut(), &FlowKey::synthetic(id, 13), id);
-                }
-                for a in table.all_lines().collect::<Vec<_>>() {
-                    sys.warm_llc(a);
-                }
+                let table = llc_table(&mut sys, flows);
                 let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
                 let mut hybrid =
                     HybridClassifier::new(&mut sys, CoreId(0), HybridConfig::default());
@@ -415,36 +333,23 @@ pub fn bulk_software() -> TextTable {
     // Scalar software.
     let scalar: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
         let mut sys = MemorySystem::new(MachineConfig::default());
-        let table = build_table(&mut sys, FLOWS);
-        let mut scratch = Scratch::new(&mut sys);
-        scratch.warm(&mut sys, CoreId(0));
-        let mut core = CoreModel::new(CoreId(0), sys.config());
-        let mut rng = SplitMix64::new(scalar_seed);
-        let start = Cycle(0);
-        let mut t0 = start;
-        for _ in 0..N {
-            let key = FlowKey::synthetic(rng.below(FLOWS as u64), 13);
-            let tr = table.lookup_traced(sys.data_mut(), &key, true);
-            let prog = build_sw_lookup(&tr, &mut scratch, None);
-            t0 = core.run(&prog, &mut sys, t0).finish;
-        }
+        let table = llc_table(&mut sys, FLOWS);
+        let keys = uniform_keys(scalar_seed, FLOWS as u64);
+        let elapsed = sw_lookups(&mut sys, &table, N, true, keys);
         vec![
             "software (scalar)".into(),
-            fmt_f64(crate::experiments::harness::kilo_throughput(N, t0 - start)),
+            fmt_f64(kilo_throughput(N, elapsed)),
         ]
     });
 
     // Bulk software (bursts of 8).
     let bulk: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
-        use halo_cpu::build_sw_lookup_bulk;
         let mut sys = MemorySystem::new(MachineConfig::default());
-        let table = build_table(&mut sys, FLOWS);
-        let mut scratch = Scratch::new(&mut sys);
-        scratch.warm(&mut sys, CoreId(0));
-        let mut core = CoreModel::new(CoreId(0), sys.config());
+        let table = llc_table(&mut sys, FLOWS);
+        let mut exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
+        exec.warm_scratch(&mut sys);
         let mut rng = SplitMix64::new(bulk_seed);
-        let start = Cycle(0);
-        let mut t0 = start;
+        let mut t0 = Cycle(0);
         let mut done = 0u64;
         while done < N {
             let burst = 8.min(N - done);
@@ -455,20 +360,20 @@ pub fn bulk_software() -> TextTable {
                 })
                 .collect();
             let refs: Vec<&halo_tables::LookupTrace> = traces.iter().collect();
-            let prog = build_sw_lookup_bulk(&refs, &mut scratch);
-            t0 = core.run(&prog, &mut sys, t0).finish;
+            let prog = build_sw_lookup_bulk(&refs, exec.scratch_mut());
+            t0 = exec.run(&prog, &mut sys, t0).finish;
             done += burst;
         }
         vec![
             "software (bulk x8)".into(),
-            fmt_f64(crate::experiments::harness::kilo_throughput(N, t0 - start)),
+            fmt_f64(kilo_throughput(N, t0 - Cycle(0))),
         ]
     });
 
     // HALO non-blocking (bursts of 8).
     let halo_nb: Box<dyn Fn() -> Vec<String> + Send> = Box::new(move || {
-        let mut w = crate::experiments::harness::SingleTableWorkload::new(1 << 15, 0.6, nb_seed);
-        let thr = w.throughput(crate::experiments::harness::Approach::HaloNonBlocking, N);
+        let mut w = SingleTableWorkload::new(1 << 15, 0.6, nb_seed);
+        let thr = w.throughput(Approach::HaloNonBlocking, N);
         vec!["HALO non-blocking".into(), fmt_f64(thr)]
     });
 

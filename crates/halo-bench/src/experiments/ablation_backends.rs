@@ -10,11 +10,9 @@
 //! the strategies scale those savings by how much of the walk the
 //! accelerator overlaps.
 
-use crate::experiments::harness::kilo_throughput;
-use halo_accel::{AcceleratorConfig, HaloEngine};
-use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
-use halo_datapath::TableBackend;
-use halo_mem::{CoreId, MachineConfig, MemorySystem};
+use crate::experiments::harness::{kilo_throughput, strategy_lookups};
+use halo_datapath::{LookupBackend, TableBackend};
+use halo_mem::{MachineConfig, MemorySystem};
 use halo_sim::{fmt_f64, point_seed, SplitMix64, SweepPoint, SweepRunner, TextTable};
 use halo_tables::{FlowKey, FlowTable, TraceStep};
 
@@ -53,47 +51,14 @@ impl Mix {
     }
 }
 
-/// The three lookup strategies compared (TCAMs carry no table backend,
-/// so the full five-approach palette of Fig. 9 does not apply here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strategy {
-    /// Software cuckoo walk on a core model.
-    Software,
-    /// HALO `LOOKUP_B`.
-    HaloBlocking,
-    /// HALO `LOOKUP_NB` + `SNAPSHOT_READ` in batches of 8.
-    HaloNonBlocking,
-}
-
-impl Strategy {
-    /// All three, software first.
-    #[must_use]
-    pub fn all() -> [Strategy; 3] {
-        [
-            Strategy::Software,
-            Strategy::HaloBlocking,
-            Strategy::HaloNonBlocking,
-        ]
-    }
-
-    /// Display label.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            Strategy::Software => "Software",
-            Strategy::HaloBlocking => "HALO-B",
-            Strategy::HaloNonBlocking => "HALO-NB",
-        }
-    }
-}
-
 /// One measured cell of the backend × strategy × mix matrix.
 #[derive(Debug, Clone, Copy)]
 pub struct BackendCell {
     /// Which exact-match implementation.
     pub backend: TableBackend,
-    /// Which lookup strategy.
-    pub strategy: Strategy,
+    /// Which lookup strategy (TCAMs carry no table backend, so the
+    /// full five-approach palette of Fig. 9 does not apply here).
+    pub strategy: LookupBackend,
     /// Which key mix.
     pub mix: Mix,
     /// Lookups per kilocycle.
@@ -145,25 +110,13 @@ impl BackendWorkload {
         }
     }
 
-    /// Next key of the mix: installed with probability `1 - miss_pct`,
-    /// otherwise an id far past everything ever inserted.
-    fn next_key(&mut self) -> (FlowKey, bool) {
-        let miss = self.rng.below(100) < self.miss_pct;
-        let id = if miss {
-            (1 << 40) + self.rng.below(1 << 20)
-        } else {
-            self.rng.below(self.installed.max(1))
-        };
-        (FlowKey::synthetic(id, 13), !miss)
-    }
-
     /// Trace-level metrics over `n` lookups: memory accesses per lookup
     /// and bucket loads split by hit/miss. Traced lookups only read the
     /// simulated data array, so this leaves the cache model untouched.
     fn metrics(&mut self, n: u64) -> (f64, f64, f64) {
         let (mut mem, mut hb, mut mb, mut hits, mut misses) = (0u64, 0u64, 0u64, 0u64, 0u64);
         for _ in 0..n {
-            let (key, expect_hit) = self.next_key();
+            let (key, expect_hit) = mix_key(&mut self.rng, self.installed, self.miss_pct);
             let tr = self.table.lookup_traced(self.sys.data_mut(), &key, false);
             let buckets = tr
                 .steps
@@ -189,70 +142,27 @@ impl BackendWorkload {
         (per(mem, n), per(hb, hits), per(mb, misses))
     }
 
-    fn throughput(&mut self, strategy: Strategy, n: u64) -> f64 {
-        match strategy {
-            Strategy::Software => self.run_software(n),
-            Strategy::HaloBlocking => self.run_halo_b(n),
-            Strategy::HaloNonBlocking => self.run_halo_nb(n),
-        }
+    fn throughput(&mut self, strategy: LookupBackend, n: u64) -> f64 {
+        let (installed, miss_pct, rng) = (self.installed, self.miss_pct, &mut self.rng);
+        let keys = move || mix_key(rng, installed, miss_pct);
+        kilo_throughput(
+            n,
+            strategy_lookups(strategy, &mut self.sys, &self.table, n, keys),
+        )
     }
+}
 
-    fn run_software(&mut self, n: u64) -> f64 {
-        let mut scratch = Scratch::new(&mut self.sys);
-        scratch.warm(&mut self.sys, CoreId(0));
-        let mut core = CoreModel::new(CoreId(0), self.sys.config());
-        let start = halo_sim::Cycle(0);
-        let mut t = start;
-        for _ in 0..n {
-            let (key, _) = self.next_key();
-            let tr = self.table.lookup_traced(self.sys.data_mut(), &key, true);
-            let prog = build_sw_lookup(&tr, &mut scratch, None);
-            t = core.run(&prog, &mut self.sys, t).finish;
-        }
-        kilo_throughput(n, t - start)
-    }
-
-    fn run_halo_b(&mut self, n: u64) -> f64 {
-        let mut engine = HaloEngine::new(&self.sys, AcceleratorConfig::default());
-        let start = halo_sim::Cycle(0);
-        let mut t = start;
-        for _ in 0..n {
-            let (key, expect_hit) = self.next_key();
-            let (r, done) = engine.lookup_b(&mut self.sys, CoreId(0), &self.table, &key, None, t);
-            debug_assert_eq!(r.is_some(), expect_hit);
-            t = done;
-        }
-        kilo_throughput(n, t - start)
-    }
-
-    fn run_halo_nb(&mut self, n: u64) -> f64 {
-        let mut engine = HaloEngine::new(&self.sys, AcceleratorConfig::default());
-        let dest = self.sys.data_mut().alloc_lines(64);
-        let start = halo_sim::Cycle(0);
-        let mut t = start;
-        let mut done_total = 0u64;
-        while done_total < n {
-            let batch = 8.min(n - done_total);
-            let mut batch_done = t;
-            for i in 0..batch {
-                let (key, _) = self.next_key();
-                let h = engine.lookup_nb(
-                    &mut self.sys,
-                    CoreId(0),
-                    &self.table,
-                    &key,
-                    None,
-                    dest + i * 8,
-                    t + halo_sim::Cycles(i),
-                );
-                batch_done = batch_done.max(h.result_at);
-            }
-            let (_, snap) = engine.snapshot_read(&mut self.sys, CoreId(0), dest, batch_done);
-            t = snap;
-            done_total += batch;
-        }
-        kilo_throughput(n, t - start)
-    }
+/// Next key of a mix: installed with probability `1 - miss_pct`,
+/// otherwise an id far past everything ever inserted. Returns the key
+/// and whether it must hit.
+fn mix_key(rng: &mut SplitMix64, installed: u64, miss_pct: u64) -> (FlowKey, bool) {
+    let miss = rng.below(100) < miss_pct;
+    let id = if miss {
+        (1 << 40) + rng.below(1 << 20)
+    } else {
+        rng.below(installed.max(1))
+    };
+    (FlowKey::synthetic(id, 13), !miss)
 }
 
 /// One sweep point: a (backend, mix) pair measuring all three
@@ -273,7 +183,7 @@ impl SweepPoint for BackendPoint {
     fn run(&self) -> Vec<BackendCell> {
         let (mem, bh, bm) = BackendWorkload::new(self.backend, self.entries, self.mix, self.seed)
             .metrics(self.lookups);
-        Strategy::all()
+        LookupBackend::all()
             .into_iter()
             .map(|strategy| {
                 let mut w = BackendWorkload::new(self.backend, self.entries, self.mix, self.seed);

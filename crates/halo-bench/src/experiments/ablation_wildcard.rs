@@ -13,7 +13,6 @@
 //! bucket lines loaded, table footprint, and throughput under each
 //! HALO strategy, so the crossover is visible end to end.
 
-use crate::experiments::ablation_backends::Strategy;
 use crate::experiments::harness::kilo_throughput;
 use halo_accel::{AcceleratorConfig, HaloEngine};
 use halo_classify::SearchMode;
@@ -34,7 +33,7 @@ pub struct WildcardCell {
     /// Which ruleset shape.
     pub shape: RulesetShape,
     /// Which lookup strategy.
-    pub strategy: Strategy,
+    pub strategy: LookupBackend,
     /// Classifications per kilocycle.
     pub throughput: f64,
     /// Probes (tuple or vector lookups) per classification.
@@ -45,17 +44,6 @@ pub struct WildcardCell {
     pub mem_bytes: u64,
     /// Installed rule count (after replacement collapsing).
     pub rules: u64,
-}
-
-impl Strategy {
-    /// The [`LookupExecutor`] backend this strategy dispatches to.
-    fn lookup_backend(self) -> LookupBackend {
-        match self {
-            Strategy::Software => LookupBackend::Software,
-            Strategy::HaloBlocking => LookupBackend::HaloBlocking,
-            Strategy::HaloNonBlocking => LookupBackend::HaloNonBlocking,
-        }
-    }
 }
 
 /// A workload over one runtime-selected wildcard backend: a generated
@@ -119,8 +107,7 @@ impl WildcardWorkload {
     /// probes come from [`WildcardTable::classify_traced`], the cycle
     /// cost from [`LookupExecutor::search`] — the same pricing path the
     /// datapath frontends use.
-    fn throughput(&mut self, strategy: Strategy) -> f64 {
-        let backend = strategy.lookup_backend();
+    fn throughput(&mut self, backend: LookupBackend) -> f64 {
         let mut exec = LookupExecutor::new(&mut self.sys, CoreId(0), backend);
         exec.warm_scratch(&mut self.sys);
         if backend == LookupBackend::HaloNonBlocking {
@@ -173,7 +160,7 @@ impl SweepPoint for WildcardPoint {
         let (probes, buckets) = probe_w.metrics();
         let mem_bytes = probe_w.table.memory_lines().len() as u64 * CACHE_LINE;
         let rules = probe_w.table.rules() as u64;
-        Strategy::all()
+        LookupBackend::all()
             .into_iter()
             .map(|strategy| {
                 let mut w = build();

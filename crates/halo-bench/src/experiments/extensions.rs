@@ -4,7 +4,7 @@
 
 use halo_accel::{AcceleratorConfig, HaloEngine};
 use halo_classify::DecisionTree;
-use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
+use halo_datapath::{LookupBackend, LookupExecutor};
 use halo_kvstore::KvStore;
 use halo_mem::{CoreId, MachineConfig, MemorySystem};
 use halo_sim::{fmt_f64, Cycle, SplitMix64, TextTable};
@@ -36,27 +36,21 @@ pub fn tree_lookup() -> TextTable {
         const N: u64 = 150;
 
         // Software walk on core 0.
-        let mut core = CoreModel::new(CoreId(0), sys.config());
-        let mut scratch = Scratch::new(&mut sys);
-        scratch.warm(&mut sys, CoreId(0));
+        let mut exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
+        exec.warm_scratch(&mut sys);
         let mut t0 = Cycle(0);
-        let mut sw_total = 0u64;
         for _ in 0..N {
             let key = FlowKey::synthetic(rng.below(keys), 16);
             let tr = tree.lookup_traced(sys.data_mut(), &key);
             debug_assert!(tr.result.is_some());
-            let prog = build_sw_lookup(&tr, &mut scratch, None);
-            let r = core.run(&prog, &mut sys, t0);
-            sw_total += (r.finish - r.start).0;
-            t0 = r.finish;
+            t0 = exec.run_sw(&mut sys, &tr, None, t0);
         }
-        let sw = sw_total as f64 / N as f64;
+        let sw = t0.0 as f64 / N as f64;
 
         // HALO walk: the whole node chain executes at the accelerator.
         let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
         let mut rng = SplitMix64::new(3);
         let mut t0 = Cycle(0);
-        let mut hw_total = 0u64;
         for _ in 0..N {
             let key = FlowKey::synthetic(rng.below(keys), 16);
             let tr = tree.lookup_traced(sys.data_mut(), &key);
@@ -71,10 +65,9 @@ pub fn tree_lookup() -> TextTable {
                 None,
                 t0,
             );
-            hw_total += (out.complete - t0).0;
             t0 = out.complete;
         }
-        let hw = hw_total as f64 / N as f64;
+        let hw = t0.0 as f64 / N as f64;
         t.row(vec![
             keys.to_string(),
             tree.depth().to_string(),

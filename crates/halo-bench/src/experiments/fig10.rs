@@ -2,11 +2,12 @@
 //! data access, and locking — for software vs HALO, with the accessed
 //! entries resident in LLC or in DRAM.
 
+use crate::experiments::harness::{filled_table, llc_table, sw_lookups, uniform_keys};
 use halo_accel::{AcceleratorConfig, HaloEngine};
-use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
+use halo_datapath::{LookupBackend, LookupExecutor};
 use halo_mem::{CoreId, MachineConfig, MemorySystem};
 use halo_sim::{fmt_f64, point_seed, Cycle, SplitMix64, SweepPoint, SweepRunner, TextTable};
-use halo_tables::{CuckooTable, FlowKey};
+use halo_tables::FlowKey;
 
 /// One bar of Fig. 10.
 #[derive(Debug, Clone, Copy)]
@@ -31,87 +32,57 @@ impl Fig10Bar {
 
 const N: u64 = 150;
 
+/// Average software lookup latency. The LLC case chains lookups over
+/// the warm table; the DRAM case evicts the table from everywhere
+/// between lookups so each access pays the full memory latency.
 fn avg_sw_latency(flows: usize, warm_llc: bool, locking: bool, seed: u64) -> f64 {
     let mut sys = MemorySystem::new(MachineConfig::default());
-    let mut table = CuckooTable::with_capacity_for(sys.data_mut(), flows, 0.8, 13);
-    for id in 0..flows as u64 {
-        let _ = table.insert(sys.data_mut(), &FlowKey::synthetic(id, 13), id);
-    }
     if warm_llc {
-        for a in table.all_lines().collect::<Vec<_>>() {
-            sys.warm_llc(a);
-        }
+        let table = llc_table(&mut sys, flows);
+        let keys = uniform_keys(seed, flows as u64);
+        return sw_lookups(&mut sys, &table, N, locking, keys).0 as f64 / N as f64;
     }
-    let mut scratch = Scratch::new(&mut sys);
-    scratch.warm(&mut sys, CoreId(0));
-    let mut core = CoreModel::new(CoreId(0), sys.config());
+    let table = filled_table(&mut sys, flows);
+    let mut exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
+    exec.warm_scratch(&mut sys);
     let mut rng = SplitMix64::new(seed);
-    let mut total = 0u64;
     let mut t = Cycle(0);
     for _ in 0..N {
         let key = FlowKey::synthetic(rng.below(flows as u64), 13);
         let tr = table.lookup_traced(sys.data_mut(), &key, locking);
-        let prog = build_sw_lookup(&tr, &mut scratch, None);
-        if !warm_llc {
-            // DRAM case: evict the table from everywhere between
-            // lookups so each access pays the full memory latency.
-            sys.flush_all();
-            scratch.warm(&mut sys, CoreId(0));
-        }
-        let r = core.run(&prog, &mut sys, t);
-        total += (r.finish - r.start).0;
-        t = r.finish;
+        sys.flush_all();
+        exec.warm_scratch(&mut sys);
+        t = exec.run_sw(&mut sys, &tr, None, t);
     }
-    total as f64 / N as f64
+    t.0 as f64 / N as f64
 }
 
 /// Software compute-only proxy: the same lookup program run against a
 /// *small* table resident in the core's private caches — the data-access
 /// cost collapses to L1 hits, leaving the compute component. (The
 /// compute work per lookup is table-size independent.)
-fn sw_compute_proxy(_flows: usize, seed: u64) -> f64 {
+fn sw_compute_proxy(seed: u64) -> f64 {
     let flows = 400usize; // fits L1/L2 comfortably
     let mut sys = MemorySystem::new(MachineConfig::default());
-    let mut table = CuckooTable::with_capacity_for(sys.data_mut(), flows, 0.8, 13);
-    for id in 0..flows as u64 {
-        let _ = table.insert(sys.data_mut(), &FlowKey::synthetic(id, 13), id);
-    }
-    for a in table.all_lines().collect::<Vec<_>>() {
+    let table = filled_table(&mut sys, flows);
+    for a in table.all_lines() {
         sys.warm_private(CoreId(0), a);
     }
-    let mut scratch = Scratch::new(&mut sys);
-    scratch.warm(&mut sys, CoreId(0));
-    let mut core = CoreModel::new(CoreId(0), sys.config());
-    let mut rng = SplitMix64::new(seed);
-    let mut total = 0u64;
-    let mut t = Cycle(0);
-    for _ in 0..N {
-        let key = FlowKey::synthetic(rng.below(flows as u64), 13);
-        let tr = table.lookup_traced(sys.data_mut(), &key, false);
-        let prog = build_sw_lookup(&tr, &mut scratch, None);
-        let r = core.run(&prog, &mut sys, t);
-        total += (r.finish - r.start).0;
-        t = r.finish;
-    }
-    total as f64 / N as f64
+    let keys = uniform_keys(seed, flows as u64);
+    sw_lookups(&mut sys, &table, N, false, keys).0 as f64 / N as f64
 }
 
 /// Returns `(avg total latency, avg data-access cycles)` for HALO
 /// blocking lookups; the compute/dispatch component is the remainder.
 fn avg_halo_latency(flows: usize, warm_llc: bool, seed: u64) -> (f64, f64) {
     let mut sys = MemorySystem::new(MachineConfig::default());
-    let mut table = CuckooTable::with_capacity_for(sys.data_mut(), flows, 0.8, 13);
-    for id in 0..flows as u64 {
-        let _ = table.insert(sys.data_mut(), &FlowKey::synthetic(id, 13), id);
-    }
-    if warm_llc {
-        for a in table.all_lines().collect::<Vec<_>>() {
-            sys.warm_llc(a);
-        }
-    }
+    let table = if warm_llc {
+        llc_table(&mut sys, flows)
+    } else {
+        filled_table(&mut sys, flows)
+    };
     let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
     let mut rng = SplitMix64::new(seed);
-    let mut total = 0u64;
     let mut data = 0u64;
     let mut t = Cycle(0);
     for _ in 0..N {
@@ -131,11 +102,10 @@ fn avg_halo_latency(flows: usize, warm_llc: bool, seed: u64) -> (f64, f64) {
             None,
             t,
         );
-        total += (out.complete - t).0;
         data += out.data_cycles.0;
         t = out.complete;
     }
-    (total as f64 / N as f64, data as f64 / N as f64)
+    (t.0 as f64 / N as f64, data as f64 / N as f64)
 }
 
 /// One of the seven independent latency measurements behind the four
@@ -167,7 +137,7 @@ impl SweepPoint for Fig10PointSpec {
                 avg_sw_latency(self.flows, warm_llc, locking, self.seed),
                 0.0,
             ),
-            Fig10Meas::SoftwareCompute => (sw_compute_proxy(self.flows, self.seed), 0.0),
+            Fig10Meas::SoftwareCompute => (sw_compute_proxy(self.seed), 0.0),
             Fig10Meas::Halo { warm_llc } => avg_halo_latency(self.flows, warm_llc, self.seed),
         }
     }

@@ -3,7 +3,7 @@
 
 use halo_accel::{AcceleratorConfig, HaloEngine};
 use halo_classify::{distinct_masks, PacketHeader, SearchMode, TupleSpace};
-use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
+use halo_datapath::{LookupBackend, LookupExecutor};
 use halo_mem::{CoreId, MachineConfig, MemorySystem};
 use halo_sim::{
     fmt_f64, point_seed, Cycle, Cycles, SplitMix64, SweepPoint, SweepRunner, TextTable,
@@ -74,9 +74,8 @@ impl TssWorkload {
     }
 
     fn run_software(&mut self, n: u64) -> f64 {
-        let mut scratch = Scratch::new(&mut self.sys);
-        scratch.warm(&mut self.sys, CoreId(0));
-        let mut core = CoreModel::new(CoreId(0), self.sys.config());
+        let mut exec = LookupExecutor::new(&mut self.sys, CoreId(0), LookupBackend::Software);
+        exec.warm_scratch(&mut self.sys);
         let start = Cycle(0);
         let mut t = start;
         for _ in 0..n {
@@ -84,14 +83,14 @@ impl TssWorkload {
             let (m, probes) = self.tss.classify_traced(self.sys.data_mut(), &key, true);
             debug_assert!(m.is_some());
             for (_, tr) in &probes {
-                let prog = build_sw_lookup(tr, &mut scratch, None);
-                t = core.run(&prog, &mut self.sys, t).finish;
+                t = exec.run_sw(&mut self.sys, tr, None, t);
             }
         }
         crate::experiments::harness::kilo_throughput(n, t - start)
     }
 
-    fn run_halo(&mut self, n: u64, blocking: bool) -> f64 {
+    /// Serialized `LOOKUP_B` per probed tuple.
+    fn run_halo_b(&mut self, n: u64) -> f64 {
         let mut engine = HaloEngine::new(&self.sys, AcceleratorConfig::default());
         let start = Cycle(0);
         let mut t = start;
@@ -99,17 +98,12 @@ impl TssWorkload {
             let key = self.next_key();
             let (m, probes) = self.tss.classify_traced(self.sys.data_mut(), &key, false);
             debug_assert!(m.is_some());
-            if blocking {
-                // Serialized LOOKUP_B per probed tuple.
-                for (i, tr) in &probes {
-                    let table_addr = self.tss.tuples()[*i].table().meta_addr();
-                    let h = halo_tables::hash_key(&key, halo_tables::SEED_PRIMARY) ^ (*i as u64);
-                    let out =
-                        engine.dispatch(&mut self.sys, CoreId(0), table_addr, tr, h, None, None, t);
-                    t = out.complete + Cycles(4);
-                }
-            } else {
-                unreachable!("non-blocking uses run_halo_nb_pipelined");
+            for (i, tr) in &probes {
+                let table_addr = self.tss.tuples()[*i].table().meta_addr();
+                let h = halo_tables::hash_key(&key, halo_tables::SEED_PRIMARY) ^ (*i as u64);
+                let out =
+                    engine.dispatch(&mut self.sys, CoreId(0), table_addr, tr, h, None, None, t);
+                t = out.complete + Cycles(4);
             }
         }
         crate::experiments::harness::kilo_throughput(n, t - start)
@@ -213,7 +207,7 @@ impl SweepPoint for Fig11Sweep {
     fn run(&self) -> Fig11Point {
         let (tuples, n, seed) = (self.tuples, self.lookups, self.seed);
         let sw = TssWorkload::new(tuples, seed).run_software(n);
-        let hb = TssWorkload::new(tuples, seed).run_halo(n, true);
+        let hb = TssWorkload::new(tuples, seed).run_halo_b(n);
         let hnb = TssWorkload::new(tuples, seed).run_halo_nb_pipelined(n);
         let tc = TssWorkload::new(tuples, seed).run_tcam(n);
         Fig11Point {

@@ -2,7 +2,8 @@
 //! (SFH) table — L2/LLC misses per kilo-load and the stall-cycle ratio
 //! as the flow count grows.
 
-use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
+use halo_cpu::build_sw_lookup;
+use halo_datapath::{LookupBackend, LookupExecutor};
 use halo_mem::{CoreId, MachineConfig, MemorySystem};
 use halo_sim::{fmt_f64, Cycle, SplitMix64, TextTable};
 use halo_tables::{CuckooTable, FlowKey, SfhTable};
@@ -71,9 +72,8 @@ fn measure(kind: TableKind, flows: usize, lookups: u64, seed: u64) -> Fig4Row {
             sys.warm_llc(a);
         }
     }
-    let mut scratch = Scratch::new(&mut sys);
-    scratch.warm(&mut sys, CoreId(0));
-    let mut core = CoreModel::new(CoreId(0), sys.config());
+    let mut exec = LookupExecutor::new(&mut sys, CoreId(0), LookupBackend::Software);
+    exec.warm_scratch(&mut sys);
     sys.clear_stats();
 
     let mut rng = SplitMix64::new(seed);
@@ -86,8 +86,10 @@ fn measure(kind: TableKind, flows: usize, lookups: u64, seed: u64) -> Fig4Row {
             T::C(tab) => tab.lookup_traced(sys.data_mut(), &key, true),
             T::S(tab) => tab.lookup_traced(sys.data_mut(), &key),
         };
-        let prog = build_sw_lookup(&tr, &mut scratch, None);
-        let r = core.run(&prog, &mut sys, t);
+        // Built on the executor's scratch and run with `exec.run`, not
+        // `run_sw`, to read each run's memory profile.
+        let prog = build_sw_lookup(&tr, exec.scratch_mut(), None);
+        let r = exec.run(&prog, &mut sys, t);
         stall += r.mem.l2llc_miss_penalty.0;
         t = r.finish;
     }

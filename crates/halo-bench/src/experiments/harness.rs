@@ -1,11 +1,12 @@
 //! Shared experiment machinery: the five lookup approaches of §5.1
-//! driven over a single hash table, plus common setup helpers.
+//! driven over a single hash table, one driver per lookup strategy,
+//! plus common setup helpers.
 
 use halo_accel::{AcceleratorConfig, DispatchPolicy, HaloEngine};
-use halo_cpu::{build_sw_lookup, CoreModel, Scratch};
+use halo_datapath::{LookupBackend, LookupExecutor};
 use halo_mem::{CoreId, MachineConfig, MemorySystem};
 use halo_sim::{Cycle, Cycles, SplitMix64};
-use halo_tables::{CuckooTable, FlowKey};
+use halo_tables::{CuckooTable, FlowKey, FlowTable};
 use halo_tcam::{SramTcam, TcamEntry, TcamTable};
 
 /// The five compared configurations (§5.1).
@@ -106,71 +107,19 @@ impl SingleTableWorkload {
     /// Measures throughput in lookups per kilocycle for `approach` over
     /// `n` lookups.
     pub fn throughput(&mut self, approach: Approach, n: u64) -> f64 {
-        match approach {
-            Approach::Software => self.run_software(n),
-            Approach::HaloBlocking => self.run_halo_b(n),
-            Approach::HaloNonBlocking => self.run_halo_nb(n),
-            Approach::Tcam => self.run_tcam(n, false),
-            Approach::SramTcam => self.run_tcam(n, true),
-        }
-    }
-
-    fn run_software(&mut self, n: u64) -> f64 {
-        let mut scratch = Scratch::new(&mut self.sys);
-        scratch.warm(&mut self.sys, CoreId(0));
-        let mut core = CoreModel::new(CoreId(0), self.sys.config());
-        let start = Cycle(0);
-        let mut t = start;
-        for _ in 0..n {
-            let key = self.next_key();
-            let tr = self.table.lookup_traced(self.sys.data_mut(), &key, true);
-            let prog = build_sw_lookup(&tr, &mut scratch, None);
-            t = core.run(&prog, &mut self.sys, t).finish;
-        }
-        kilo_throughput(n, t - start)
-    }
-
-    fn run_halo_b(&mut self, n: u64) -> f64 {
-        let mut engine = HaloEngine::new(&self.sys, AcceleratorConfig::default());
-        let start = Cycle(0);
-        let mut t = start;
-        for _ in 0..n {
-            let key = self.next_key();
-            let (r, done) = engine.lookup_b(&mut self.sys, CoreId(0), &self.table, &key, None, t);
-            debug_assert!(r.is_some());
-            t = done;
-        }
-        kilo_throughput(n, t - start)
-    }
-
-    fn run_halo_nb(&mut self, n: u64) -> f64 {
-        let mut engine = HaloEngine::new(&self.sys, AcceleratorConfig::default());
-        let dest = self.sys.data_mut().alloc_lines(64);
-        let start = Cycle(0);
-        let mut t = start;
-        let mut done_total = 0u64;
-        while done_total < n {
-            let batch = 8.min(n - done_total);
-            let mut batch_done = t;
-            for i in 0..batch {
-                let key = self.next_key();
-                let h = engine.lookup_nb(
-                    &mut self.sys,
-                    CoreId(0),
-                    &self.table,
-                    &key,
-                    None,
-                    dest + i * 8,
-                    t + Cycles(i), // one issue per cycle
-                );
-                batch_done = batch_done.max(h.result_at);
-            }
-            // One SNAPSHOT_READ collects the whole destination line.
-            let (_, snap) = engine.snapshot_read(&mut self.sys, CoreId(0), dest, batch_done);
-            t = snap;
-            done_total += batch;
-        }
-        kilo_throughput(n, t - start)
+        let strategy = match approach {
+            Approach::Software => LookupBackend::Software,
+            Approach::HaloBlocking => LookupBackend::HaloBlocking,
+            Approach::HaloNonBlocking => LookupBackend::HaloNonBlocking,
+            Approach::Tcam => return self.run_tcam(n, false),
+            Approach::SramTcam => return self.run_tcam(n, true),
+        };
+        let (installed, rng) = (self.installed.max(1), &mut self.rng);
+        let keys = move || (FlowKey::synthetic(rng.below(installed), 13), true);
+        kilo_throughput(
+            n,
+            strategy_lookups(strategy, &mut self.sys, &self.table, n, keys),
+        )
     }
 
     /// Chip-level non-blocking throughput: queries issued from eight
@@ -244,6 +193,135 @@ pub fn kilo_throughput(n: u64, elapsed: Cycles) -> f64 {
         0.0
     } else {
         1000.0 * n as f64 / elapsed.0 as f64
+    }
+}
+
+/// A cuckoo table sized for `flows` at 80% occupancy with the keys of
+/// ids `0..flows` installed (value = id), left cold.
+#[must_use]
+pub fn filled_table(sys: &mut MemorySystem, flows: usize) -> CuckooTable {
+    let mut table = CuckooTable::with_capacity_for(sys.data_mut(), flows, 0.8, 13);
+    for id in 0..flows as u64 {
+        let _ = table.insert(sys.data_mut(), &FlowKey::synthetic(id, 13), id);
+    }
+    table
+}
+
+/// [`filled_table`], then warmed into the LLC (§5.2's warm-up).
+#[must_use]
+pub fn llc_table(sys: &mut MemorySystem, flows: usize) -> CuckooTable {
+    let table = filled_table(sys, flows);
+    for a in table.all_lines() {
+        sys.warm_llc(a);
+    }
+    table
+}
+
+/// A key source drawing installed ids `0..flows` uniformly from a
+/// generator seeded with `seed`; every key must hit.
+pub fn uniform_keys(seed: u64, flows: u64) -> impl FnMut() -> (FlowKey, bool) {
+    let mut rng = SplitMix64::new(seed);
+    move || (FlowKey::synthetic(rng.below(flows), 13), true)
+}
+
+/// `n` software lookups chained on core 0: one [`LookupExecutor`]
+/// with its scratch warmed, each lookup replayed by
+/// [`LookupExecutor::run_sw`] from the previous one's finish.
+/// `locking` adds the optimistic-lock version checks to each trace.
+/// `keys` yields each key and whether it must hit. Returns the cycles
+/// elapsed from `Cycle(0)`.
+pub fn sw_lookups(
+    sys: &mut MemorySystem,
+    table: &dyn FlowTable,
+    n: u64,
+    locking: bool,
+    mut keys: impl FnMut() -> (FlowKey, bool),
+) -> Cycles {
+    let mut exec = LookupExecutor::new(sys, CoreId(0), LookupBackend::Software);
+    exec.warm_scratch(sys);
+    let mut t = Cycle(0);
+    for _ in 0..n {
+        let (key, hit) = keys();
+        let tr = table.lookup_traced(sys.data_mut(), &key, locking);
+        debug_assert_eq!(tr.result.is_some(), hit);
+        t = exec.run_sw(sys, &tr, None, t);
+    }
+    t - Cycle(0)
+}
+
+/// `n` `LOOKUP_B`s from core 0 on an engine built with `cfg`, each
+/// issued when the previous one resumes the core. Returns the cycles
+/// elapsed from `Cycle(0)`.
+pub fn lookup_b_chain(
+    sys: &mut MemorySystem,
+    cfg: AcceleratorConfig,
+    table: &dyn FlowTable,
+    n: u64,
+    mut keys: impl FnMut() -> (FlowKey, bool),
+) -> Cycles {
+    let mut engine = HaloEngine::new(sys, cfg);
+    let mut t = Cycle(0);
+    for _ in 0..n {
+        let (key, hit) = keys();
+        let (r, done) = engine.lookup_b(sys, CoreId(0), table, &key, None, t);
+        debug_assert_eq!(r.is_some(), hit);
+        t = done;
+    }
+    t - Cycle(0)
+}
+
+/// `n` `LOOKUP_NB`s from core 0 on an engine built with `cfg`, in
+/// batches of 8 issued one per cycle into the slots of one destination
+/// line; one `SNAPSHOT_READ` of that line collects each batch before
+/// the next issues. Returns the cycles elapsed from `Cycle(0)`.
+pub fn lookup_nb_batches(
+    sys: &mut MemorySystem,
+    cfg: AcceleratorConfig,
+    table: &dyn FlowTable,
+    n: u64,
+    mut keys: impl FnMut() -> (FlowKey, bool),
+) -> Cycles {
+    let mut engine = HaloEngine::new(sys, cfg);
+    let dest = sys.data_mut().alloc_lines(64);
+    let mut t = Cycle(0);
+    let mut done = 0u64;
+    while done < n {
+        let batch = 8.min(n - done);
+        let mut batch_done = t;
+        for i in 0..batch {
+            let (key, hit) = keys();
+            let h = engine.lookup_nb(
+                sys,
+                CoreId(0),
+                table,
+                &key,
+                None,
+                dest + i * 8,
+                t + Cycles(i),
+            );
+            debug_assert_eq!(h.result.is_some(), hit);
+            batch_done = batch_done.max(h.result_at);
+        }
+        t = engine.snapshot_read(sys, CoreId(0), dest, batch_done).1;
+        done += batch;
+    }
+    t - Cycle(0)
+}
+
+/// Runs `n` lookups under `strategy` with the drivers above: software
+/// with optimistic locking, or HALO on a default-configured engine.
+pub fn strategy_lookups(
+    strategy: LookupBackend,
+    sys: &mut MemorySystem,
+    table: &dyn FlowTable,
+    n: u64,
+    keys: impl FnMut() -> (FlowKey, bool),
+) -> Cycles {
+    let cfg = AcceleratorConfig::default();
+    match strategy {
+        LookupBackend::Software => sw_lookups(sys, table, n, true, keys),
+        LookupBackend::HaloBlocking => lookup_b_chain(sys, cfg, table, n, keys),
+        LookupBackend::HaloNonBlocking => lookup_nb_batches(sys, cfg, table, n, keys),
     }
 }
 

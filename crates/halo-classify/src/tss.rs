@@ -162,11 +162,6 @@ impl<T: FlowTable> Tuple<T> {
         &self.table
     }
 
-    /// The tuple's rule table, mutably (rule expiry and relocation).
-    pub fn table_mut(&mut self) -> &mut T {
-        &mut self.table
-    }
-
     /// Number of rules installed in this tuple.
     #[must_use]
     pub fn len(&self) -> usize {

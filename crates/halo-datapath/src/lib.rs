@@ -94,6 +94,28 @@ pub enum LookupBackend {
     HaloNonBlocking,
 }
 
+impl LookupBackend {
+    /// Every lookup strategy, software first.
+    #[must_use]
+    pub fn all() -> [LookupBackend; 3] {
+        [
+            LookupBackend::Software,
+            LookupBackend::HaloBlocking,
+            LookupBackend::HaloNonBlocking,
+        ]
+    }
+
+    /// Stable display name (used in figure rows and JSON).
+    #[must_use]
+    pub fn name(self) -> &'static str {
+        match self {
+            LookupBackend::Software => "Software",
+            LookupBackend::HaloBlocking => "HALO-B",
+            LookupBackend::HaloNonBlocking => "HALO-NB",
+        }
+    }
+}
+
 /// Cycles between a `LOOKUP_B` completion and the core observing the
 /// result (register writeback + pipeline restart).
 const BLOCKING_RESUME: Cycles = Cycles(4);
@@ -281,12 +303,6 @@ impl LookupExecutor {
         &mut self.scratch
     }
 
-    /// The attached non-blocking destination region, if any.
-    #[must_use]
-    pub fn nb_region(&self) -> Option<&NbRegion> {
-        self.nb.as_ref()
-    }
-
     /// Runs an arbitrary program on this core starting at `at`. Generic
     /// over the memory context so the same executor serves the classic
     /// sequential [`MemorySystem`] and an epoch-window shard.
@@ -316,7 +332,7 @@ impl LookupExecutor {
     ///
     /// * [`LookupBackend::Software`] — each probe replayed sequentially
     ///   on the core.
-    /// * [`LookupBackend::HaloBlocking`] — a burst of `LOOKUP_B`s, the
+    /// * [`LookupBackend::HaloBlocking`] — one `LOOKUP_B` per probe, the
     ///   core blocking on each.
     /// * [`LookupBackend::HaloNonBlocking`] — every probe issued
     ///   back-to-back as `LOOKUP_NB` into a distinct [`NbRegion`] slot,
@@ -349,15 +365,16 @@ impl LookupExecutor {
             LookupBackend::HaloBlocking => {
                 let engine = engine.expect("HALO backend needs an engine");
                 let base_hash = hash_key(key, SEED_PRIMARY);
-                engine.dispatch_burst(
-                    sys,
-                    self.core,
-                    probes
-                        .iter()
-                        .map(|(i, tr)| (Self::probe_addr(space, *i), tr, base_hash ^ (*i as u64))),
-                    BLOCKING_RESUME,
-                    at,
-                )
+                let mut t = at;
+                for (i, tr) in probes {
+                    let table_addr = Self::probe_addr(space, *i);
+                    let h = base_hash ^ (*i as u64);
+                    t = engine
+                        .dispatch(sys, self.core, table_addr, tr, h, None, None, t)
+                        .complete
+                        + BLOCKING_RESUME;
+                }
+                t
             }
             LookupBackend::HaloNonBlocking => {
                 let engine = engine.expect("HALO backend needs an engine");

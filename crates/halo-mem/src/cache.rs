@@ -47,9 +47,6 @@ pub struct LineMeta {
     /// HALO hardware lock bit (LLC only): set while an accelerator query
     /// holds the line; modifications are refused until cleared.
     pub locked: bool,
-    /// Core-valid bit for accelerator metadata caches (LLC only): set
-    /// when a CHA metadata cache holds a copy of this line.
-    pub accel_cv: bool,
 }
 
 impl LineMeta {
@@ -61,7 +58,6 @@ impl LineMeta {
             lru: 0,
             sharers: 0,
             locked: false,
-            accel_cv: false,
         }
     }
 }
@@ -190,7 +186,6 @@ impl CacheArray {
             lru: tick,
             sharers: 0,
             locked: false,
-            accel_cv: false,
         };
         // One pass over the set: take the first free way, tracking the
         // LRU victim among unlocked ways (and among all ways as the

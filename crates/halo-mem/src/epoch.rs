@@ -304,7 +304,6 @@ impl<'a> LlcView<'a> {
                 lru: 0,
                 sharers: 1 << core.0,
                 locked: false,
-                accel_cv: false,
             },
         );
     }

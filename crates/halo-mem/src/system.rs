@@ -253,11 +253,6 @@ impl MemorySystem {
         &self.tracer
     }
 
-    /// Mutable access to the tracer (enable/disable/clear/export).
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// Enables span recording with the given ring-buffer capacity
     /// (see [`Tracer::enable`]).
     pub fn enable_tracing(&mut self, capacity: usize) {

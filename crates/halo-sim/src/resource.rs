@@ -236,13 +236,6 @@ impl Resource {
         self.served = 0;
         self.busy = Cycles::ZERO;
     }
-
-    /// Serves a request that overlaps out-of-order with other
-    /// requesters: identical to [`serve`](Self::serve) (interval
-    /// reservation already handles this); kept for call-site clarity.
-    pub fn serve_unordered(&mut self, at: Cycle) -> Cycle {
-        self.serve(at)
-    }
 }
 
 /// A bank-interleaved resource: `n` identical servers, requests routed by

@@ -505,11 +505,9 @@ impl VirtualSwitch {
     /// Appends one `(action, completion)` pair per packet to `out` and
     /// returns the completion cycle of the last packet.
     ///
-    /// Produces exactly the outcomes, counters, and breakdown of the
-    /// equivalent scalar loop over [`process_packet`]
-    /// (Self::process_packet); the batched entry point exists so bulk
-    /// drivers (benchmarks, the multi-core datapath) pay per-burst
-    /// instead of per-packet dispatch overhead.
+    /// This is a plain loop over [`process_packet`](Self::process_packet)
+    /// and saves nothing per burst; it exists as a convenience for bulk
+    /// drivers (benchmarks, the perfbench pipeline workload).
     pub fn process_burst(
         &mut self,
         sys: &mut MemorySystem,

@@ -17,7 +17,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-FIGS=(fig3 fig9 fig10 fig11 fig12 scaling ablation ablation-backends ablation-wildcard scale)
+FIGS=(fig3 fig9 fig10 fig11 fig12 scaling ablation ablation-backends ablation-wildcard scale table1 fig4 fig8b table4 fig13 extensions)
 mode="verify"
 [[ "${1:-}" == "--update" ]] && mode="update"
 

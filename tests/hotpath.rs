@@ -1,7 +1,6 @@
-//! Hot-path equivalence suite: the batched entry points
-//! (`VirtualSwitch::process_burst`, `HaloEngine::dispatch_burst` via
-//! the HALO-blocking backend) must produce exactly the outcomes and
-//! statistics of their scalar equivalents, and the rewritten lock
+//! Hot-path equivalence suite: `VirtualSwitch::process_burst` must
+//! produce exactly the outcomes and statistics of the scalar packet
+//! loop under every lookup backend, and the rewritten lock
 //! table / flat cache arrays must satisfy the halo-check invariant
 //! auditor under churn.
 
@@ -93,8 +92,8 @@ fn process_burst_matches_scalar_software() {
     burst_equivalence(LookupBackend::Software);
 }
 
-/// `process_burst` + `dispatch_burst` over the HALO-blocking backend
-/// (the `LOOKUP_B` MegaFlow walk) reproduces the scalar loop exactly.
+/// `process_burst` over the HALO-blocking backend (the `LOOKUP_B`
+/// MegaFlow walk) reproduces the scalar loop exactly.
 #[test]
 fn process_burst_matches_scalar_halo_blocking() {
     burst_equivalence(LookupBackend::HaloBlocking);
