@@ -47,14 +47,10 @@ fn violation(invariant: &'static str, detail: String) -> Violation {
 ///   clean private eviction does not notify the LLC), so the check is
 ///   holders ⊆ sharers, never equality.
 /// * **single-owner** — at most one core holds a line Modified.
-/// * **lock-flag** — the per-line hardware lock bit agrees with the
-///   lock table: a resident line is flagged iff an in-flight
-///   accelerator op holds it.
-/// * **lock-orphan** — no lock-table entry survives its line's
-///   eviction ([`MemorySystem::force_evict`] and LLC replacement both
-///   clear it).
 /// * **lock-expired** — no lock is held past its release cycle; call
 ///   [`MemorySystem::hw_unlock_expired`] with `now` before auditing.
+///   The lock and its release cycle live in the line's LLC way, so a
+///   lock cannot disagree with its line or outlive its eviction.
 ///
 /// The walk uses read-only iterators and perturbs no LRU or counter
 /// state, so it can run between every op of a harness.
@@ -63,25 +59,29 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
     let mut out = Vec::new();
     let cfg = sys.config();
 
-    // LLC pass: placement + a residency/directory/lock index for the
-    // private-cache pass (built once; everything after is O(1) probes).
-    let mut llc: HashMap<LineAddr, (usize, u64, bool)> = HashMap::new();
+    // LLC pass: placement, expired locks, and a residency/directory
+    // index for the private-cache pass (built once; everything after is
+    // O(1) probes).
+    let mut llc: HashMap<LineAddr, (usize, u64)> = HashMap::new();
     for s in 0..cfg.slices {
-        for m in sys.llc_slice_lines(SliceId(s)) {
-            let home = sys.home_slice(m.line);
+        for (line, m) in sys.llc_slice_lines(SliceId(s)) {
+            let home = sys.home_slice(line);
             if home.0 != s {
                 out.push(violation(
                     "placement",
-                    format!(
-                        "line {:?} resident in slice {s}, homed on {}",
-                        m.line, home.0
-                    ),
+                    format!("line {line:?} resident in slice {s}, homed on {}", home.0),
                 ));
             }
-            if let Some((prev, _, _)) = llc.insert(m.line, (s, m.sharers, m.locked)) {
+            if let Some((prev, _)) = llc.insert(line, (s, m.sharers)) {
                 out.push(violation(
                     "placement",
-                    format!("line {:?} resident in slices {prev} and {s}", m.line),
+                    format!("line {line:?} resident in slices {prev} and {s}"),
+                ));
+            }
+            if let Some(release) = m.lock_release().filter(|&r| r <= now) {
+                out.push(violation(
+                    "lock-expired",
+                    format!("lock on {line:?} expired at {release:?}, now {now:?}"),
                 ));
             }
         }
@@ -91,70 +91,37 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
     let mut owner: HashMap<LineAddr, usize> = HashMap::new();
     for c in 0..cfg.cores {
         let core = halo_mem::CoreId(c);
-        let levels: [(&str, Box<dyn Iterator<Item = &halo_mem::LineMeta>>); 2] = [
-            ("L1", Box::new(sys.l1_lines(core))),
-            ("L2", Box::new(sys.l2_lines(core))),
-        ];
-        for (level, lines) in levels {
-            for m in lines {
-                match llc.get(&m.line) {
-                    None => out.push(violation(
-                        "inclusion",
-                        format!("core {c} {level} holds {:?} absent from the LLC", m.line),
-                    )),
-                    Some(&(_, sharers, _)) => {
-                        if sharers & (1 << c) == 0 {
-                            out.push(violation(
-                                "directory",
-                                format!(
-                                    "core {c} {level} holds {:?} without its sharer bit",
-                                    m.line
-                                ),
-                            ));
-                        }
-                    }
-                }
-                if m.state == LineState::Modified {
-                    if let Some(&prev) = owner.get(&m.line) {
-                        if prev != c {
-                            out.push(violation(
-                                "single-owner",
-                                format!("line {:?} Modified in cores {prev} and {c}", m.line),
-                            ));
-                        }
-                    } else {
-                        owner.insert(m.line, c);
+        let private = sys
+            .l1_lines(core)
+            .map(|l| ("L1", l))
+            .chain(sys.l2_lines(core).map(|l| ("L2", l)));
+        for (level, (line, m)) in private {
+            match llc.get(&line) {
+                None => out.push(violation(
+                    "inclusion",
+                    format!("core {c} {level} holds {line:?} absent from the LLC"),
+                )),
+                Some(&(_, sharers)) => {
+                    if sharers & (1 << c) == 0 {
+                        out.push(violation(
+                            "directory",
+                            format!("core {c} {level} holds {line:?} without its sharer bit"),
+                        ));
                     }
                 }
             }
-        }
-    }
-
-    // Lock pass: flags vs the lock table, orphans, and expiry.
-    let locks: HashMap<LineAddr, Cycle> = sys.held_locks().collect();
-    for (&line, &(slice, _, flagged)) in &llc {
-        if flagged != locks.contains_key(&line) {
-            out.push(violation(
-                "lock-flag",
-                format!(
-                    "line {line:?} in slice {slice}: lock bit {flagged}, lock table {}",
-                    locks.contains_key(&line)
-                ),
-            ));
-        }
-    }
-    for (&line, &release) in &locks {
-        if !llc.contains_key(&line) {
-            out.push(violation(
-                "lock-orphan",
-                format!("lock on {line:?} outlived the line's LLC residency"),
-            ));
-        }
-        if release <= now {
-            out.push(violation(
-                "lock-expired",
-                format!("lock on {line:?} expired at {release:?}, now {now:?}"),
-            ));
+            if m.state == LineState::Modified {
+                if let Some(&prev) = owner.get(&line) {
+                    if prev != c {
+                        out.push(violation(
+                            "single-owner",
+                            format!("line {line:?} Modified in cores {prev} and {c}"),
+                        ));
+                    }
+                } else {
+                    owner.insert(line, c);
+                }
+            }
         }
     }
     out
@@ -472,8 +439,8 @@ pub fn audit_table_placement<T: FlowTable + ?Sized>(
     let mut out = Vec::new();
     let mut resident: HashMap<LineAddr, usize> = HashMap::new();
     for s in 0..sys.config().slices {
-        for m in sys.llc_slice_lines(SliceId(s)) {
-            resident.insert(m.line, s);
+        for (line, _) in sys.llc_slice_lines(SliceId(s)) {
+            resident.insert(line, s);
         }
     }
     for addr in table.warm_lines() {

@@ -28,8 +28,9 @@
 //!   [`MemorySystem`](halo_mem::MemorySystem)/cache state and the table
 //!   layout, asserting the structural invariants the paper assumes:
 //!   L1/L2/LLC inclusion, directory agreement, at most one owner per
-//!   line, lock bits only on lines an in-flight accelerator op holds,
-//!   cuckoo length/occupancy consistent with live entries, and every
+//!   line, no hardware lock held past its release cycle (the lock lives
+//!   in its LLC line, so it cannot outlive the line or disagree with
+//!   it), cuckoo length/occupancy consistent with live entries, and every
 //!   table line homed on the CHA slice the layout promises. Per-op
 //!   auditing inside the harnesses sits behind the cheap `audit` cargo
 //!   feature (or the `HALO_AUDIT` environment variable).

@@ -17,6 +17,7 @@
 
 use crate::addr::LineAddr;
 use crate::config::CacheGeometry;
+use halo_sim::Cycle;
 
 /// Tag value marking an invalid (empty) way. Line addresses are byte
 /// addresses shifted right by 6, so no reachable line collides with it.
@@ -32,12 +33,13 @@ pub enum LineState {
     Modified,
 }
 
-/// Metadata for one cached line.
+/// Metadata for one cached line. The line's address lives in the tag
+/// array; iterate with [`CacheArray::iter_lines`] to see it.
 #[derive(Debug, Clone)]
 pub struct LineMeta {
-    /// Which line this way currently holds. Mirrors the way's entry in
-    /// the tag array; treat as read-only through `peek_mut`/`lookup`.
-    pub line: LineAddr,
+    /// Release cycle of the HALO hardware lock; meaningful only while
+    /// `locked`.
+    lock_until: Cycle,
     /// Coherence state.
     pub state: LineState,
     /// LRU timestamp (monotonic per array).
@@ -46,19 +48,34 @@ pub struct LineMeta {
     pub sharers: u64,
     /// HALO hardware lock bit (LLC only): set while an accelerator query
     /// holds the line; modifications are refused until cleared.
-    pub locked: bool,
+    locked: bool,
 }
+
+// 524k LLC ways carry one of these each; a larger meta shows up
+// directly in the simulator's resident memory.
+const _: () = assert!(std::mem::size_of::<LineMeta>() == 32);
 
 impl LineMeta {
     /// Placeholder stored behind invalid tags.
     fn invalid() -> Self {
+        LineMeta::new(LineState::Shared, 0, 0)
+    }
+
+    /// Metadata of a freshly filled, unlocked line.
+    pub(crate) fn new(state: LineState, lru: u64, sharers: u64) -> Self {
         LineMeta {
-            line: LineAddr(TAG_INVALID),
-            state: LineState::Shared,
-            lru: 0,
-            sharers: 0,
+            lock_until: Cycle(0),
+            state,
+            lru,
+            sharers,
             locked: false,
         }
+    }
+
+    /// Release cycle of the hardware lock on this line, if held.
+    #[must_use]
+    pub fn lock_release(&self) -> Option<Cycle> {
+        self.locked.then_some(self.lock_until)
     }
 }
 
@@ -100,6 +117,9 @@ pub struct CacheArray {
     /// Live count of valid ways (kept in sync by insert/invalidate/clear
     /// so occupancy reads never rescan the whole array).
     resident: usize,
+    /// Live count of valid ways holding a hardware lock, kept the same
+    /// way so a lock-free array is recognised without a scan.
+    locked: usize,
 }
 
 impl CacheArray {
@@ -117,6 +137,7 @@ impl CacheArray {
             hits: 0,
             misses: 0,
             resident: 0,
+            locked: 0,
         }
     }
 
@@ -180,13 +201,7 @@ impl CacheArray {
         self.tick += 1;
         let tick = self.tick;
         let range = self.set_range(line);
-        let meta = LineMeta {
-            line,
-            state,
-            lru: tick,
-            sharers: 0,
-            locked: false,
-        };
+        let meta = LineMeta::new(state, tick, 0);
         // One pass over the set: take the first free way, tracking the
         // LRU victim among unlocked ways (and among all ways as the
         // all-locked fallback; strict `<` keeps the lowest-index
@@ -215,9 +230,10 @@ impl CacheArray {
         // Pathological case: every way locked. Fall back to raw LRU —
         // the timing model will have serialized those queries anyway.
         let victim = victim_unlocked.unwrap_or(victim_any);
-        self.tags[victim] = line.0;
+        let line = LineAddr(std::mem::replace(&mut self.tags[victim], line.0));
         let old = std::mem::replace(&mut self.meta[victim], meta);
-        let (line, sharers) = (old.line, old.sharers);
+        self.locked -= usize::from(old.locked);
+        let sharers = old.sharers;
         match old.state {
             LineState::Modified => Eviction::Dirty { line, sharers },
             LineState::Shared => Eviction::Clean { line, sharers },
@@ -229,7 +245,67 @@ impl CacheArray {
         let i = self.find(line)?;
         self.tags[i] = TAG_INVALID;
         self.resident -= 1;
-        Some(std::mem::replace(&mut self.meta[i], LineMeta::invalid()))
+        let old = std::mem::replace(&mut self.meta[i], LineMeta::invalid());
+        self.locked -= usize::from(old.locked);
+        Some(old)
+    }
+
+    /// Sets the hardware lock on `line` until `until`; a lock already
+    /// held only ever extends (`max`). A line that is not resident holds
+    /// nothing.
+    pub(crate) fn lock(&mut self, line: LineAddr, until: Cycle) {
+        let Some(i) = self.find(line) else {
+            return;
+        };
+        let m = &mut self.meta[i];
+        if m.locked {
+            m.lock_until = m.lock_until.max(until);
+        } else {
+            m.locked = true;
+            m.lock_until = until;
+            self.locked += 1;
+        }
+    }
+
+    /// Releases the lock on `line` if it has expired by `now`. Returns
+    /// the release cycle of a lock that is still held, if any.
+    pub(crate) fn release_expired(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
+        let i = self.find(line)?;
+        let m = &mut self.meta[i];
+        let release = m.lock_release()?;
+        if release > now {
+            return Some(release);
+        }
+        m.locked = false;
+        self.locked -= 1;
+        None
+    }
+
+    /// Releases every lock that has expired by `now`: one linear pass
+    /// over the array, skipped outright while no way is locked.
+    pub(crate) fn unlock_expired(&mut self, now: Cycle) {
+        debug_assert_eq!(
+            self.locked,
+            self.iter_lines().filter(|(_, m)| m.locked).count(),
+            "live lock counter out of sync with the lock bits"
+        );
+        if self.locked == 0 {
+            return;
+        }
+        for (&t, m) in self.tags.iter().zip(&mut self.meta) {
+            if t != TAG_INVALID && m.locked && m.lock_until <= now {
+                m.locked = false;
+                self.locked -= 1;
+            }
+        }
+    }
+
+    /// Number of resident lines holding a hardware lock (O(1): kept
+    /// live by insert/invalidate/clear and the lock operations, and
+    /// cross-checked against a full scan by every
+    /// [`unlock_expired`](Self::unlock_expired) under debug assertions).
+    pub(crate) fn locked_lines(&self) -> usize {
+        self.locked
     }
 
     /// Hit count since construction.
@@ -256,14 +332,14 @@ impl CacheArray {
         self.resident
     }
 
-    /// Iterates over every resident line's metadata without perturbing
-    /// LRU state or hit/miss counters (for invariant audits).
-    pub fn iter_lines(&self) -> impl Iterator<Item = &LineMeta> + '_ {
+    /// Iterates over every resident line and its metadata without
+    /// perturbing LRU state or hit/miss counters (for invariant audits).
+    pub fn iter_lines(&self) -> impl Iterator<Item = (LineAddr, &LineMeta)> + '_ {
         self.tags
             .iter()
             .zip(&self.meta)
             .filter(|(&t, _)| t != TAG_INVALID)
-            .map(|(_, m)| m)
+            .map(|(&t, m)| (LineAddr(t), m))
     }
 
     /// Total capacity in lines.
@@ -278,6 +354,7 @@ impl CacheArray {
         self.hits = 0;
         self.misses = 0;
         self.resident = 0;
+        self.locked = 0;
     }
 }
 
@@ -380,7 +457,7 @@ mod tests {
         let mut c = tiny();
         let (a, b, d) = same_set_lines(&c);
         c.insert(a, LineState::Shared);
-        c.peek_mut(a).unwrap().locked = true;
+        c.lock(a, Cycle(100));
         c.insert(b, LineState::Shared);
         // `a` is LRU but locked, so `b` must be the victim.
         let ev = c.insert(d, LineState::Shared);
@@ -400,8 +477,8 @@ mod tests {
         let (a, b, d) = same_set_lines(&c);
         c.insert(a, LineState::Shared);
         c.insert(b, LineState::Shared);
-        c.peek_mut(a).unwrap().locked = true;
-        c.peek_mut(b).unwrap().locked = true;
+        c.lock(a, Cycle(100));
+        c.lock(b, Cycle(100));
         // `a` was inserted first, so it is the raw-LRU fallback victim.
         let ev = c.insert(d, LineState::Shared);
         assert_eq!(
@@ -468,7 +545,77 @@ mod tests {
         c.insert(LineAddr(1), LineState::Shared);
         c.insert(LineAddr(2), LineState::Modified);
         c.invalidate(LineAddr(1));
-        let lines: Vec<LineAddr> = c.iter_lines().map(|m| m.line).collect();
+        let lines: Vec<LineAddr> = c.iter_lines().map(|(l, _)| l).collect();
         assert_eq!(lines, vec![LineAddr(2)]);
+    }
+
+    #[test]
+    fn lock_extends_and_releases_only_when_expired() {
+        let mut c = tiny();
+        c.lock(LineAddr(7), Cycle(100));
+        assert_eq!(c.locked_lines(), 0, "an absent line holds nothing");
+        c.insert(LineAddr(7), LineState::Shared);
+        c.lock(LineAddr(7), Cycle(100));
+        c.lock(LineAddr(7), Cycle(50));
+        assert_eq!(
+            c.peek(LineAddr(7)).unwrap().lock_release(),
+            Some(Cycle(100))
+        );
+        assert_eq!(c.release_expired(LineAddr(7), Cycle(99)), Some(Cycle(100)));
+        assert_eq!(c.release_expired(LineAddr(7), Cycle(100)), None);
+        assert_eq!(c.peek(LineAddr(7)).unwrap().lock_release(), None);
+        assert_eq!(c.locked_lines(), 0);
+        // A fresh lock after release starts from its own release time.
+        c.lock(LineAddr(7), Cycle(20));
+        assert_eq!(c.peek(LineAddr(7)).unwrap().lock_release(), Some(Cycle(20)));
+    }
+
+    #[test]
+    fn unlock_expired_sweeps_exactly_the_expired() {
+        let mut c = CacheArray::new(CacheGeometry {
+            capacity: 64 * 64,
+            ways: 4,
+        });
+        for i in 0..40u64 {
+            c.insert(LineAddr(i), LineState::Shared);
+        }
+        let held: Vec<u64> = (0..40).filter(|&i| c.peek(LineAddr(i)).is_some()).collect();
+        for &i in &held {
+            c.lock(LineAddr(i), Cycle(i * 10));
+        }
+        c.unlock_expired(Cycle(245));
+        for &i in &held {
+            let rel = c.peek(LineAddr(i)).unwrap().lock_release();
+            assert_eq!(rel.is_some(), i * 10 > 245, "line {i}");
+        }
+        let live = held.iter().filter(|&&i| i * 10 > 245).count();
+        assert_eq!(c.locked_lines(), live);
+    }
+
+    #[test]
+    fn locked_counter_follows_eviction_invalidate_and_clear() {
+        let mut c = tiny();
+        let (a, b, d) = same_set_lines(&c);
+        c.insert(a, LineState::Shared);
+        c.insert(b, LineState::Shared);
+        c.lock(a, Cycle(10));
+        c.lock(b, Cycle(10));
+        assert_eq!(c.locked_lines(), 2);
+        // All ways locked: the raw-LRU victim takes its lock with it.
+        c.insert(d, LineState::Shared);
+        assert_eq!(c.locked_lines(), 1);
+        c.invalidate(b);
+        assert_eq!(c.locked_lines(), 0);
+        c.lock(d, Cycle(10));
+        c.clear();
+        assert_eq!(c.locked_lines(), 0);
+        c.insert(d, LineState::Shared);
+        assert_eq!(
+            c.peek(d).unwrap().lock_release(),
+            None,
+            "refill is unlocked"
+        );
+        // The sweep cross-checks the live counter under debug assertions.
+        c.unlock_expired(Cycle(0));
     }
 }

@@ -33,7 +33,9 @@ use crate::addr::{Addr, CoreId, LineAddr, SliceId, CACHE_LINE};
 use crate::cache::{CacheArray, Eviction, LineMeta, LineState};
 use crate::config::MachineConfig;
 use crate::memory::SimMemory;
-use crate::system::{slice_hash, AccessKind, AccessOutcome, HitLevel, MemStatIds, MemorySystem};
+use crate::system::{
+    ring_hops, slice_hash, AccessKind, AccessOutcome, HitLevel, MemStatIds, MemorySystem,
+};
 use halo_sim::{BankedResource, Cycle, Cycles, Resource, Stats};
 use std::collections::{HashMap, HashSet};
 
@@ -296,16 +298,8 @@ impl<'a> LlcView<'a> {
             AccessKind::Load => LineState::Shared,
             AccessKind::Store => LineState::Modified,
         };
-        self.overlay.insert(
-            line.0,
-            LineMeta {
-                line,
-                state,
-                lru: 0,
-                sharers: 1 << core.0,
-                locked: false,
-            },
-        );
+        self.overlay
+            .insert(line.0, LineMeta::new(state, 0, 1 << core.0));
     }
 }
 
@@ -376,10 +370,7 @@ impl EpochCore<'_> {
 
     fn hops(&self, core: CoreId, slice: SliceId) -> u64 {
         let n = self.cfg.slices;
-        let a = core.0 % n;
-        let b = slice.0;
-        let d = a.abs_diff(b);
-        d.min(n - d) as u64
+        ring_hops(core.0 % n, slice.0, n)
     }
 
     /// Timed access inside the window. Mirrors the classic
@@ -511,9 +502,9 @@ impl EpochCore<'_> {
         }
     }
 
-    /// Store-upgrade timing against the frozen sharer mask (the lock
-    /// table is asserted empty before a split, so the classic lock check
-    /// is vacuous here).
+    /// Store-upgrade timing against the frozen sharer mask (no LLC line
+    /// may be locked at a split, so the classic lock check is vacuous
+    /// here).
     fn upgrade_for_store(&mut self, line: LineAddr, at: Cycle) -> Cycle {
         let slice = slice_hash(line, self.cfg.slices);
         let wire = Cycles(2 * self.hops(self.core, slice) * self.cfg.hop_latency.0);
@@ -665,7 +656,7 @@ impl MemorySystem {
             "epoch mode does not support span tracing"
         );
         assert!(
-            self.locks.is_empty(),
+            self.llc.iter().all(|slice| slice.locked_lines() == 0),
             "epoch mode does not support in-flight hardware locks"
         );
         let cfg = &self.cfg;
@@ -774,24 +765,9 @@ impl MemorySystem {
     /// re-counting the request-level stats the window already counted.
     fn replay_access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) {
         let slice = self.home_slice(line);
-        if self.llc[slice.0].lookup(line).is_some() {
-            let sharers = self.llc[slice.0].peek(line).map_or(0, |m| m.sharers);
-            // Dirty-owner probe against the real private tags.
-            let mut dirty_owner = None;
-            for c in 0..self.cfg.cores {
-                if sharers & (1 << c) != 0 {
-                    let m1 = self.l1d[c].peek(line).map(|m| m.state);
-                    let m2 = self.l2[c].peek(line).map(|m| m.state);
-                    if m1 == Some(LineState::Modified) || m2 == Some(LineState::Modified) {
-                        dirty_owner = Some(CoreId(c));
-                        break;
-                    }
-                }
-            }
-            if let Some(owner) = dirty_owner {
-                if owner != core {
-                    self.downgrade_owner_master(owner, line);
-                }
+        if let Some((dirty_owner, sharers)) = self.llc_probe(slice, line) {
+            if let Some(owner) = dirty_owner.filter(|&o| o != core) {
+                self.downgrade_owner(owner, line);
             }
             if kind == AccessKind::Store {
                 let others = sharers & !(1 << core.0);
@@ -821,19 +797,6 @@ impl MemorySystem {
             if let Some(meta) = self.llc[slice.0].peek_mut(line) {
                 meta.sharers = 1 << core.0;
             }
-        }
-    }
-
-    fn downgrade_owner_master(&mut self, owner: CoreId, line: LineAddr) {
-        if let Some(m) = self.l1d[owner.0].peek_mut(line) {
-            m.state = LineState::Shared;
-        }
-        if let Some(m) = self.l2[owner.0].peek_mut(line) {
-            m.state = LineState::Shared;
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.state = LineState::Modified;
         }
     }
 
@@ -867,7 +830,6 @@ impl MemorySystem {
         if invalidated {
             self.stats.inc(self.ids.llc_back_inval);
         }
-        self.locks.remove(victim);
     }
 }
 

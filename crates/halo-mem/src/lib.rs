@@ -31,7 +31,6 @@ mod addr;
 mod cache;
 mod config;
 mod epoch;
-mod locks;
 mod memory;
 mod system;
 
@@ -39,6 +38,5 @@ pub use addr::{Addr, CoreId, LineAddr, SliceId, CACHE_LINE};
 pub use cache::{CacheArray, Eviction, LineMeta, LineState};
 pub use config::{CacheGeometry, MachineConfig};
 pub use epoch::{CoreMem, CowMem, EpochCore, MemCtx, WindowOutcome};
-pub use locks::LockTable;
 pub use memory::SimMemory;
 pub use system::{AccessKind, AccessOutcome, HitLevel, MemorySystem};

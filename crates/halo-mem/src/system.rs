@@ -7,9 +7,8 @@
 //! what state) is tracked exactly.
 
 use crate::addr::{Addr, CoreId, LineAddr, SliceId};
-use crate::cache::{CacheArray, Eviction, LineState};
+use crate::cache::{CacheArray, Eviction, LineMeta, LineState};
 use crate::config::MachineConfig;
-use crate::locks::LockTable;
 use crate::memory::SimMemory;
 use halo_sim::{BankedResource, Cycle, Cycles, Resource, StatId, Stats, Tracer};
 
@@ -74,8 +73,6 @@ pub struct MemorySystem {
     pub(crate) l2_port: Vec<Resource>,
     pub(crate) slice_port: Vec<Resource>,
     pub(crate) dram: BankedResource,
-    /// HALO hardware lock bits: line -> cycle at which the lock releases.
-    pub(crate) locks: LockTable,
     pub(crate) stats: Stats,
     pub(crate) ids: MemStatIds,
     /// Cycle-attribution sink (DESIGN.md §10). Off by default; every
@@ -169,6 +166,13 @@ impl MemStatIds {
     }
 }
 
+/// Hops between two ring stops of an `n`-stop bidirectional ring.
+#[inline]
+pub(crate) fn ring_hops(a: usize, b: usize, n: usize) -> u64 {
+    let d = a.abs_diff(b);
+    d.min(n - d) as u64
+}
+
 /// The Intel-style address hash assigning a line to its home slice.
 #[inline]
 pub(crate) fn slice_hash(line: LineAddr, slices: usize) -> SliceId {
@@ -210,7 +214,6 @@ impl MemorySystem {
             l2_port,
             slice_port,
             dram,
-            locks: LockTable::new(),
             stats,
             ids,
             tracer: Tracer::off(),
@@ -292,16 +295,7 @@ impl MemorySystem {
     #[must_use]
     pub fn hops(&self, core: CoreId, slice: SliceId) -> u64 {
         let n = self.cfg.slices;
-        let a = core.0 % n;
-        let b = slice.0;
-        let d = a.abs_diff(b);
-        d.min(n - d) as u64
-    }
-
-    fn hops_slice(&self, from: SliceId, to: SliceId) -> u64 {
-        let n = self.cfg.slices;
-        let d = from.0.abs_diff(to.0);
-        d.min(n - d) as u64
+        ring_hops(core.0 % n, slice.0, n)
     }
 
     // ------------------------------------------------------------------
@@ -394,14 +388,12 @@ impl MemorySystem {
         let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
         let t_llc = self.slice_port[slice.0].serve(t_l2 + wire);
 
-        let (present, locked_until, dirty_owner, sharers) = self.llc_probe(slice, line);
-        if present {
+        if let Some((dirty_owner, sharers)) = self.llc_probe(slice, line) {
             self.stats.inc(self.ids.llc_hit);
             let mut t = t_llc;
             let mut level = HitLevel::Llc;
 
             // HALO lock bit: stores must wait for the lock to clear.
-            let _ = locked_until;
             if kind == AccessKind::Store {
                 if let Some(rel) = self.prune_lock(line, t) {
                     self.stats.inc(self.ids.store_lock_retry);
@@ -530,12 +522,11 @@ impl MemorySystem {
             // home CHA and the data rides back, but both stay on the
             // uncore fast path (no core-side queueing), so the array
             // access itself is the short CHA-internal one.
-            let wire = Cycles(self.hops_slice(from, home) * self.cfg.hop_latency.0);
+            let wire = Cycles(ring_hops(from.0, home.0, self.cfg.slices) * self.cfg.hop_latency.0);
             self.slice_port[home.0].serve_with_latency(at + wire, self.cfg.accel_local_latency)
         };
 
-        let (present, _locked, dirty_owner, sharers) = self.llc_probe(home, line);
-        if present {
+        if let Some((dirty_owner, sharers)) = self.llc_probe(home, line) {
             self.stats.inc(self.ids.accel_llc_hit);
             let mut t = t_arr;
             let mut level = HitLevel::Llc;
@@ -577,32 +568,30 @@ impl MemorySystem {
 
     /// Sets the hardware lock bit on `line` until `until`. Overlapping
     /// locks extend the release time.
+    ///
+    /// The lock lives in the line's LLC way. A line that is not in the
+    /// LLC therefore holds nothing, just as an LLC eviction drops the
+    /// lock of its victim. The accelerator locks the lines its query has
+    /// just touched, so such a line is normally still resident.
     pub fn hw_lock(&mut self, line: LineAddr, until: Cycle) {
         let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.locked = true;
-        }
-        self.locks.insert_max(line, until);
+        self.llc[slice.0].lock(line, until);
         self.stats.inc(self.ids.hw_lock_set);
     }
 
-    /// Clears the lock bit if its release time has passed.
-    /// Allocation-free: expired entries are swept out of the lock table
-    /// in place.
+    /// Clears every lock bit whose release time has passed: a linear
+    /// pass over each LLC slice that still holds a lock.
     pub fn hw_unlock_expired(&mut self, now: Cycle) {
-        let llc = &mut self.llc;
-        let slices = self.cfg.slices;
-        self.locks.sweep_expired(now, |line| {
-            if let Some(meta) = llc[slice_hash(line, slices).0].peek_mut(line) {
-                meta.locked = false;
-            }
-        });
+        for slice in &mut self.llc {
+            slice.unlock_expired(now);
+        }
     }
 
     /// Returns the release time of the lock on `line`, if held.
     #[must_use]
     pub fn lock_release(&self, line: LineAddr) -> Option<Cycle> {
-        self.locks.get(line)
+        let slice = self.home_slice(line);
+        self.llc[slice.0].peek(line)?.lock_release()
     }
 
     // ------------------------------------------------------------------
@@ -680,7 +669,6 @@ impl MemorySystem {
         for c in &mut self.llc {
             c.clear();
         }
-        self.locks.clear();
     }
 
     /// Fraction of `core`'s L1D currently valid.
@@ -714,12 +702,12 @@ impl MemorySystem {
     // ------------------------------------------------------------------
 
     /// Lines resident in `core`'s L1D (audit walk; no side effects).
-    pub fn l1_lines(&self, core: CoreId) -> impl Iterator<Item = &crate::cache::LineMeta> + '_ {
+    pub fn l1_lines(&self, core: CoreId) -> impl Iterator<Item = (LineAddr, &LineMeta)> + '_ {
         self.l1d[core.0].iter_lines()
     }
 
     /// Lines resident in `core`'s L2 (audit walk; no side effects).
-    pub fn l2_lines(&self, core: CoreId) -> impl Iterator<Item = &crate::cache::LineMeta> + '_ {
+    pub fn l2_lines(&self, core: CoreId) -> impl Iterator<Item = (LineAddr, &LineMeta)> + '_ {
         self.l2[core.0].iter_lines()
     }
 
@@ -727,13 +715,17 @@ impl MemorySystem {
     pub fn llc_slice_lines(
         &self,
         slice: SliceId,
-    ) -> impl Iterator<Item = &crate::cache::LineMeta> + '_ {
+    ) -> impl Iterator<Item = (LineAddr, &LineMeta)> + '_ {
         self.llc[slice.0].iter_lines()
     }
 
-    /// Currently held hardware locks as `(line, release cycle)` pairs.
+    /// Currently held hardware locks as `(line, release cycle)` pairs
+    /// (a walk over every LLC slice).
     pub fn held_locks(&self) -> impl Iterator<Item = (LineAddr, Cycle)> + '_ {
-        self.locks.iter()
+        self.llc
+            .iter()
+            .flat_map(CacheArray::iter_lines)
+            .filter_map(|(line, m)| Some((line, m.lock_release()?)))
     }
 
     /// Forcibly evicts the line containing `addr` from the LLC and every
@@ -749,7 +741,6 @@ impl MemorySystem {
         }
         let slice = self.home_slice(line);
         self.llc[slice.0].invalidate(line);
-        self.locks.remove(line);
         self.stats.inc(self.ids.fault_force_evict);
     }
 
@@ -760,44 +751,29 @@ impl MemorySystem {
     /// Drops the lock on `line` if it has expired by `now`, clearing the
     /// cache-line lock bit. Returns the still-active release time, if any.
     fn prune_lock(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
-        match self.locks.get(line) {
-            Some(rel) if rel <= now => {
-                self.locks.remove(line);
-                let slice = self.home_slice(line);
-                if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                    meta.locked = false;
-                }
-                None
-            }
-            other => other,
-        }
+        let slice = self.home_slice(line);
+        self.llc[slice.0].release_expired(line, now)
     }
 
-    /// Probe the LLC directory: (present, lock release, dirty private
-    /// owner, sharer mask).
-    fn llc_probe(
+    /// Probe the LLC directory with an LRU-updating lookup: `None` on a
+    /// miss, else (dirty private owner, sharer mask). The owner is a
+    /// sharer whose L1 or L2 holds the line Modified, checked against
+    /// the real private tags since sharer masks over-approximate.
+    pub(crate) fn llc_probe(
         &mut self,
         slice: SliceId,
         line: LineAddr,
-    ) -> (bool, Option<Cycle>, Option<CoreId>, u64) {
-        let locked_until = self.locks.get(line);
-        let Some(meta) = self.llc[slice.0].lookup(line) else {
-            return (false, locked_until, None, 0);
-        };
-        let sharers = meta.sharers;
-        // Find a private dirty owner: a sharer whose L1/L2 holds Modified.
-        let mut dirty_owner = None;
-        for c in 0..self.cfg.cores {
-            if sharers & (1 << c) != 0 {
-                let m1 = self.l1d[c].peek(line).map(|m| m.state);
-                let m2 = self.l2[c].peek(line).map(|m| m.state);
-                if m1 == Some(LineState::Modified) || m2 == Some(LineState::Modified) {
-                    dirty_owner = Some(CoreId(c));
-                    break;
-                }
-            }
-        }
-        (true, locked_until, dirty_owner, sharers)
+    ) -> Option<(Option<CoreId>, u64)> {
+        let sharers = self.llc[slice.0].lookup(line)?.sharers;
+        let modified = |m: &LineMeta| m.state == LineState::Modified;
+        let dirty_owner = (0..self.cfg.cores)
+            .filter(|&c| sharers & (1 << c) != 0)
+            .find(|&c| {
+                self.l1d[c].peek(line).is_some_and(modified)
+                    || self.l2[c].peek(line).is_some_and(modified)
+            })
+            .map(CoreId);
+        Some((dirty_owner, sharers))
     }
 
     fn llc_note_access(&mut self, slice: SliceId, line: LineAddr, core: CoreId, kind: AccessKind) {
@@ -867,7 +843,6 @@ impl MemorySystem {
         if invalidated {
             self.stats.inc(self.ids.llc_back_inval);
         }
-        self.locks.remove(victim);
     }
 
     fn fill_private(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) {
@@ -996,7 +971,7 @@ impl MemorySystem {
         t
     }
 
-    fn downgrade_owner(&mut self, owner: CoreId, line: LineAddr) {
+    pub(crate) fn downgrade_owner(&mut self, owner: CoreId, line: LineAddr) {
         if let Some(m) = self.l1d[owner.0].peek_mut(line) {
             m.state = LineState::Shared;
         }
@@ -1294,10 +1269,10 @@ mod tests {
         let a = s.data_mut().alloc_lines(64);
         s.access(CoreId(2), a, AccessKind::Store, Cycle(0));
         let line = a.line();
-        assert!(s.l1_lines(CoreId(2)).any(|m| m.line == line));
-        assert!(s.l2_lines(CoreId(2)).any(|m| m.line == line));
+        assert!(s.l1_lines(CoreId(2)).any(|(l, _)| l == line));
+        assert!(s.l2_lines(CoreId(2)).any(|(l, _)| l == line));
         let home = s.home_slice(line);
-        assert!(s.llc_slice_lines(home).any(|m| m.line == line));
+        assert!(s.llc_slice_lines(home).any(|(l, _)| l == line));
         // The walk is side-effect free: counters unchanged.
         let (h, m) = s.l1_hit_miss(CoreId(2));
         let _ = s.l1_lines(CoreId(2)).count();

@@ -175,9 +175,9 @@ fn scaling_sweep_identical_at_jobs_1_and_4() {
     );
 }
 
-/// Churns the rewritten open-addressed hardware-lock table through the
-/// `MemorySystem` API against a model map, auditing the lock-flag /
-/// lock-orphan / lock-expired invariants after every step.
+/// Churns hardware locks (held in the LLC lines) through the
+/// `MemorySystem` API against a model map, auditing the lock-expired
+/// invariant after every step.
 #[test]
 fn lock_table_churn_agrees_with_model_and_auditor() {
     let mut sys = MemorySystem::new(MachineConfig::small());
@@ -216,7 +216,7 @@ fn lock_table_churn_agrees_with_model_and_auditor() {
         let mut expect: Vec<(u64, u64)> = model.iter().map(|(&l, &r)| (l, r)).collect();
         held.sort_unstable();
         expect.sort_unstable();
-        assert_eq!(held, expect, "lock table diverged from model at {step}");
+        assert_eq!(held, expect, "held locks diverged from model at {step}");
 
         // The auditor's lock-expired invariant expects stale locks to be
         // swept before inspection.

@@ -15,7 +15,8 @@ use halo_nfv::classify::{
 };
 use halo_nfv::kvstore::KvStore;
 use halo_nfv::mem::{
-    AccessKind, Addr, CacheGeometry, CoreId, MachineConfig, MemorySystem, SimMemory, SliceId,
+    AccessKind, Addr, CacheGeometry, CoreId, LineAddr, MachineConfig, MemorySystem, SimMemory,
+    SliceId,
 };
 use halo_nfv::sim::{point_seed, Cycle, Cycles, OutstandingWindow, Resource, SplitMix64};
 use halo_nfv::tables::{CuckooTable, FlowKey, SfhTable, ENTRIES_PER_BUCKET};
@@ -352,17 +353,26 @@ impl RefResource {
 /// `Resource` (with its tail fast path) schedules exactly like the
 /// general reservation walk. Arrivals are placed relative to the last
 /// busy interval — before it, inside it, at its end, just after it, or
-/// behind the compaction floor — and each case makes enough
-/// reservations to compact several times, so floor bumps run too.
+/// behind the compaction floor. Each case makes at least
+/// `6 * MAX_INTERVALS` reservations and keeps going until the model has
+/// compacted twice, so floor bumps run too; a case that cannot reach two
+/// compactions within `MAX_STEPS` fails.
 #[test]
 fn resource_tail_path_matches_reference_walk() {
+    const MIN_STEPS: usize = 6 * MAX_INTERVALS;
+    const MAX_STEPS: usize = 64 * MAX_INTERVALS;
     for mut rng in case_rngs("properties.resource_tail_differential") {
         let occupancy = 1 + rng.below(8);
         let latency = occupancy + rng.below(20);
         let mut r = Resource::new("diff", Cycles(latency), Cycles(occupancy));
         let mut model = RefResource::new(latency, occupancy);
         let mut compactions = 0;
-        for step in 0..6 * MAX_INTERVALS {
+        let mut step = 0;
+        while step < MIN_STEPS || compactions < 2 {
+            assert!(
+                step < MAX_STEPS,
+                "only {compactions} compactions in {MAX_STEPS} steps"
+            );
             let (last_start, last_end) = model.intervals.last().copied().unwrap_or((0, 0));
             let at = match rng.below(10) {
                 // Somewhere before the last interval (gap filling).
@@ -391,6 +401,7 @@ fn resource_tail_path_matches_reference_walk() {
             assert_eq!(r.served(), model.served);
             assert_eq!(r.busy(), Cycles(model.busy));
             assert_eq!(r.next_free(), Cycle(model.next_free()));
+            step += 1;
         }
         assert!(compactions >= 2, "only {compactions} compactions");
     }
@@ -818,34 +829,57 @@ fn read_bucket_matches_per_entry_reads() {
 /// core outside the victim's directory sharers holds it (the invariant
 /// that lets back-invalidation probe only the sharers); the full
 /// halo-check system audit runs throughout.
+///
+/// Every accelerator access also takes the HALO hardware lock on its
+/// line with a random release. A model of the held locks drops a lock
+/// when its line leaves the LLC, when a sweep releases it, or when a
+/// core store finds it expired, and must equal `held_locks()` after
+/// every step. A locked line may only be evicted from a set whose other
+/// ways are all locked too.
 #[test]
 fn llc_eviction_stress_keeps_holders_within_sharers() {
+    const WAYS: usize = 4;
+    let mut locked_evictions = 0u64;
     for mut rng in case_rngs("properties.llc_eviction_stress") {
         let cfg = MachineConfig {
             llc_slice: CacheGeometry {
                 capacity: 2 * 1024,
-                ways: 4,
+                ways: WAYS,
             },
             ..MachineConfig::small()
         };
         let (cores, slices) = (cfg.cores, cfg.slices);
+        let sets = cfg.llc_slice.sets() as u64;
         let mut sys = MemorySystem::new(cfg);
+        // The LLC way group of a line: its home slice and, within it,
+        // its set (this mirrors `CacheArray`'s set hash).
+        let way_group = |sys: &MemorySystem, l: u64| {
+            (sys.home_slice(LineAddr(l)), (l ^ (l >> 13)) & (sets - 1))
+        };
         let lines = 1024u64;
         let base = sys.data_mut().alloc_lines(lines * 64);
+        let mut locks: HashMap<u64, Cycle> = HashMap::new();
         let mut t = Cycle(0);
         for step in 0..3000 {
             let a = base + rng.below(lines) * 64;
+            let line = a.line();
             let core = CoreId(rng.below(cores as u64) as usize);
             let kind = if rng.below(3) == 0 {
                 AccessKind::Store
             } else {
                 AccessKind::Load
             };
-            t = match rng.below(16) {
+            let op = rng.below(16);
+            t = match op {
                 0..=8 => sys.access(core, a, kind, t).complete,
                 9 | 10 => {
                     let from = SliceId(rng.below(slices as u64) as usize);
-                    sys.accel_access(from, a, kind, t).complete
+                    let done = sys.accel_access(from, a, kind, t).complete;
+                    let until = done + Cycles(rng.below(20_000));
+                    sys.hw_lock(line, until);
+                    let held = locks.entry(line.0).or_insert(until);
+                    *held = (*held).max(until);
+                    done
                 }
                 11 => sys.snapshot_read(core, a, t).complete,
                 12 | 13 => {
@@ -865,7 +899,47 @@ fn llc_eviction_stress_keeps_holders_within_sharers() {
                     t
                 }
             };
+            // A core store releases a lock it finds expired, and only then.
+            if op <= 8 && kind == AccessKind::Store {
+                if let Some(&rel) = locks.get(&line.0) {
+                    match sys.lock_release(line) {
+                        Some(now_rel) => assert_eq!(now_rel, rel, "step {step}"),
+                        None => {
+                            assert!(rel <= t, "step {step}: store released a live lock");
+                            locks.remove(&line.0);
+                        }
+                    }
+                }
+            }
+            let evicted: Vec<u64> = locks
+                .keys()
+                .copied()
+                .filter(|&l| !sys.in_llc(LineAddr(l).base()))
+                .collect();
+            for l in evicted {
+                locks.remove(&l);
+                locked_evictions += 1;
+                let group = way_group(&sys, l);
+                let locked_mates = locks
+                    .keys()
+                    .filter(|&&m| way_group(&sys, m) == group)
+                    .count();
+                assert!(
+                    locked_mates >= WAYS - 1,
+                    "step {step}: locked line {l:#x} evicted beside an unlocked way"
+                );
+            }
+            let mut held: Vec<(u64, Cycle)> = sys.held_locks().map(|(l, r)| (l.0, r)).collect();
+            let mut want: Vec<(u64, Cycle)> = locks.iter().map(|(&l, &r)| (l, r)).collect();
+            held.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(
+                held, want,
+                "step {step}: held locks diverged from the model"
+            );
             if step % 100 == 99 {
+                sys.hw_unlock_expired(t);
+                locks.retain(|_, &mut rel| rel > t);
                 let violations = audit_system(&sys, t);
                 assert!(violations.is_empty(), "step {step}: {violations:?}");
             }
@@ -877,4 +951,5 @@ fn llc_eviction_stress_keeps_holders_within_sharers() {
         );
         assert!(stats.counter("llc.writeback") > 0, "no dirty LLC evictions");
     }
+    assert!(locked_evictions > 0, "no locked line was ever evicted");
 }
