@@ -11,12 +11,16 @@
 //!   frozen shared snapshot of the LLC directory ([`LlcView`]) and data
 //!   store, and a line-granular copy-on-write overlay ([`CowMem`]) for
 //!   its writes.
-//! * Inside the window each core runs freely; every observable effect on
-//!   shared state (LLC/directory transitions, dirty writebacks) is
-//!   recorded as an [`LlcEvent`] instead of applied.
+//! * Inside the window each core runs freely. A timed access is the
+//!   same walk the classic system runs (`walk::access`); the
+//!   `Hierarchy` implementation on [`EpochCore`] is the list of what
+//!   differs: the frozen directory, the window-local port clones, no
+//!   lock check, timing-only invalidations, and directory transitions
+//!   that land in an overlay and are logged as [`LlcEvent`]s.
 //! * At the barrier, [`MemorySystem::epoch_merge`] replays each core's
-//!   event log and flushes each core's memory delta against the master
-//!   state **in fixed core order**, single-threaded.
+//!   event log through the live transitions and flushes each core's
+//!   memory delta against the master state **in fixed core order**,
+//!   single-threaded.
 //!
 //! A core's window is therefore a pure function of (frozen snapshot,
 //! its own private state, its inputs); the fan-out only chooses
@@ -33,10 +37,9 @@ use crate::addr::{Addr, CoreId, LineAddr, SliceId, CACHE_LINE};
 use crate::cache::{CacheArray, Eviction, LineMeta, LineState};
 use crate::config::MachineConfig;
 use crate::memory::SimMemory;
-use crate::system::{
-    ring_hops, slice_hash, AccessKind, AccessOutcome, HitLevel, MemStatIds, MemorySystem,
-};
-use halo_sim::{BankedResource, Cycle, Cycles, Resource, Stats};
+use crate::system::{slice_hash, AccessKind, AccessOutcome, MemStatIds, MemorySystem};
+use crate::walk::{self, Hierarchy, LlcEvent, Private};
+use halo_sim::{BankedResource, Cycle, Resource, Stats};
 use std::collections::{HashMap, HashSet};
 
 /// A byte-addressed backing store: the seam between table/EMC code and
@@ -224,28 +227,6 @@ impl CoreMem for MemorySystem {
     }
 }
 
-/// One deferred effect on shared LLC/directory state, recorded inside a
-/// window and replayed against the master at the barrier.
-#[derive(Debug, Clone, Copy)]
-enum LlcEvent {
-    /// Private store hit on an already-Modified line: home meta becomes
-    /// Modified with this core added to the sharer set.
-    Touch(LineAddr),
-    /// Store upgrade from a non-exclusive private copy: other sharers'
-    /// private copies are invalidated; home meta becomes exclusively
-    /// this core's, Modified.
-    Upgrade(LineAddr),
-    /// Private refill from an L2 hit: this core joins the sharer set.
-    FillSharer(LineAddr),
-    /// A full LLC walk (L2 miss): replayed as a master lookup with the
-    /// classic hit/miss transitions (install + eviction on miss,
-    /// dirty-owner downgrade + sharer updates on hit).
-    Access(LineAddr, AccessKind),
-    /// A dirty private-cache eviction wrote the line back: home meta
-    /// becomes Modified.
-    DirtyWb(LineAddr),
-}
-
 /// A frozen snapshot of the LLC directory plus a window-local overlay.
 ///
 /// Probes consult the overlay first, then `peek` the frozen base arrays
@@ -290,16 +271,6 @@ impl<'a> LlcView<'a> {
             self.overlay.insert(line.0, m);
         }
         self.overlay.get_mut(&line.0)
-    }
-
-    /// Installs `line` into the overlay (window-local LLC fill).
-    fn install(&mut self, line: LineAddr, core: CoreId, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
-        };
-        self.overlay
-            .insert(line.0, LineMeta::new(state, 0, 1 << core.0));
     }
 }
 
@@ -367,248 +338,78 @@ impl EpochCore<'_> {
             stats: self.stats,
         }
     }
+}
 
-    fn hops(&self, core: CoreId, slice: SliceId) -> u64 {
-        let n = self.cfg.slices;
-        ring_hops(core.0 % n, slice.0, n)
+/// The epoch executor's deviations from the classic walk, one per
+/// method: a window reads the directory as frozen at the split and
+/// writes it only through its overlay and event log.
+impl Hierarchy for EpochCore<'_> {
+    #[inline]
+    fn cfg(&self) -> &MachineConfig {
+        self.cfg
     }
 
-    /// Timed access inside the window. Mirrors the classic
-    /// `MemorySystem::access` timing formulas exactly, but consults the
-    /// frozen LLC view for shared state and defers every shared-state
-    /// transition to the event log.
-    fn window_access(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-        at: Cycle,
-    ) -> AccessOutcome {
+    #[inline]
+    fn counters(&mut self) -> (&mut Stats, &MemStatIds) {
+        (&mut self.stats, &self.ids)
+    }
+
+    /// The shard's own core, borrowed exclusively from the master.
+    #[inline]
+    fn private(&mut self, core: CoreId) -> Private<'_> {
         debug_assert_eq!(core, self.core, "epoch shard driven by a foreign core");
-        let line = addr.line();
-        match kind {
-            AccessKind::Load => self.stats.inc(self.ids.mem_load),
-            AccessKind::Store => self.stats.inc(self.ids.mem_store),
-        }
-
-        // L1 lookup (real, exclusive array).
-        let t_l1 = self.l1_port.serve(line.0 as usize, at);
-        if let Some(meta) = self.l1d.lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l1d_hit);
-            if kind == AccessKind::Store && state != LineState::Modified {
-                let t = self.upgrade_for_store(line, t_l1);
-                self.touch_private_store(line);
-                self.events.push(LlcEvent::Upgrade(line));
-                self.events.push(LlcEvent::Touch(line));
-                return AccessOutcome {
-                    complete: t,
-                    level: HitLevel::L1,
-                };
-            }
-            if kind == AccessKind::Store {
-                self.touch_private_store(line);
-                self.events.push(LlcEvent::Touch(line));
-            }
-            return AccessOutcome {
-                complete: t_l1,
-                level: HitLevel::L1,
-            };
-        }
-        self.stats.inc(self.ids.l1d_miss);
-
-        // L2 lookup (real, exclusive array).
-        let t_l2 = self.l2_port.serve(at).max(t_l1);
-        if let Some(meta) = self.l2.lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l2_hit);
-            let mut t = t_l2;
-            if kind == AccessKind::Store && state != LineState::Modified {
-                t = self.upgrade_for_store(line, t);
-                self.events.push(LlcEvent::Upgrade(line));
-            } else {
-                self.events.push(match kind {
-                    AccessKind::Load => LlcEvent::FillSharer(line),
-                    AccessKind::Store => LlcEvent::Touch(line),
-                });
-                if kind == AccessKind::Store {
-                    self.view_touch_store(line);
-                } else {
-                    self.view_fill_sharer(line);
-                }
-            }
-            self.fill_private(line, kind);
-            return AccessOutcome {
-                complete: t,
-                level: HitLevel::L2,
-            };
-        }
-        self.stats.inc(self.ids.l2_miss);
-
-        // LLC walk against the frozen view.
-        let slice = slice_hash(line, self.cfg.slices);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
-        let t_llc = self.slice_port[slice.0].serve(t_l2 + wire);
-
-        if let Some(m) = self.llc.probe(line) {
-            self.stats.inc(self.ids.llc_hit);
-            let mut t = t_llc;
-            let mut level = HitLevel::Llc;
-
-            // Remote dirty owner, as the frozen view sees it: the home
-            // meta is Modified and some other core shares the line. The
-            // classic path probes the other cores' live private tags;
-            // those are unreachable from this shard, so the directory
-            // itself stands in (documented deviation — the replay uses
-            // the real tags for the master transition).
-            let others = m.sharers & !(1 << core.0);
-            if m.state == LineState::Modified && others != 0 && !self.llc.snooped.contains(&line.0)
-            {
-                self.stats.inc(self.ids.llc_dirty_snoop);
-                t += self.cfg.dirty_snoop_latency;
-                level = HitLevel::LlcRemoteDirty;
-                self.llc.snooped.insert(line.0);
-            }
-
-            if kind == AccessKind::Store && m.sharers != 0 {
-                t = self.invalidate_other_sharers_timing(line, slice, t, m.sharers);
-            }
-            // Window-local directory transition mirroring llc_note_access.
-            if let Some(meta) = self.llc.entry(line) {
-                match kind {
-                    AccessKind::Load => meta.sharers |= 1 << core.0,
-                    AccessKind::Store => {
-                        meta.sharers = 1 << core.0;
-                        meta.state = LineState::Modified;
-                    }
-                }
-            }
-            self.fill_private(line, kind);
-            self.events.push(LlcEvent::Access(line, kind));
-            return AccessOutcome { complete: t, level };
-        }
-        self.stats.inc(self.ids.llc_miss);
-
-        // DRAM (window-local channel clone).
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_llc);
-        self.stats.inc(self.ids.dram_access);
-        self.llc.install(line, core, kind);
-        self.fill_private(line, kind);
-        self.events.push(LlcEvent::Access(line, kind));
-        AccessOutcome {
-            complete: t_dram,
-            level: HitLevel::Dram,
+        Private {
+            l1d: self.l1d,
+            l2: self.l2,
+            l1_port: self.l1_port,
+            l2_port: self.l2_port,
         }
     }
 
-    /// Store-upgrade timing against the frozen sharer mask (no LLC line
-    /// may be locked at a split, so the classic lock check is vacuous
-    /// here).
-    fn upgrade_for_store(&mut self, line: LineAddr, at: Cycle) -> Cycle {
-        let slice = slice_hash(line, self.cfg.slices);
-        let wire = Cycles(2 * self.hops(self.core, slice) * self.cfg.hop_latency.0);
-        let t = at + wire + Cycles(self.cfg.llc_latency.0 / 2);
-        let sharers = self.llc.probe(line).map_or(0, |m| m.sharers);
-        let t = if sharers != 0 {
-            self.invalidate_other_sharers_timing(line, slice, t, sharers)
-        } else {
-            t
-        };
-        if let Some(meta) = self.llc.entry(line) {
-            meta.sharers = 1 << self.core.0;
-            meta.state = LineState::Modified;
-        }
-        t
+    /// Window-local clones: other cores' slice-port and DRAM contention
+    /// is not modelled within a window.
+    #[inline]
+    fn uncore(&mut self) -> (&mut [Resource], &mut BankedResource) {
+        (&mut self.slice_port, &mut self.dram)
     }
 
-    /// Timing (and stat) mirror of `invalidate_other_sharers`, computed
-    /// from the view's sharer mask; the actual invalidations replay at
-    /// the barrier.
-    fn invalidate_other_sharers_timing(
-        &mut self,
-        line: LineAddr,
-        slice: SliceId,
-        at: Cycle,
-        sharers: u64,
-    ) -> Cycle {
-        let others = sharers & !(1 << self.core.0);
-        if let Some(meta) = self.llc.entry(line) {
-            meta.sharers = 1 << self.core.0;
-            meta.state = LineState::Modified;
-        }
-        if others == 0 {
-            return at;
-        }
-        self.stats.inc(self.ids.coherence_invalidation);
-        let mut t = at;
-        for c in 0..self.cfg.cores {
-            if others & (1 << c) != 0 {
-                let d = Cycles(self.hops(CoreId(c), slice) * self.cfg.hop_latency.0 * 2);
-                t = t.max(at + d);
-            }
-        }
-        t
+    /// The frozen view (no LRU update). Other cores' private tags are
+    /// unreachable from a shard, so the directory stands in for them: a
+    /// Modified line that another core shares has a remote dirty owner,
+    /// charged once per line per window (`snooped`). Replay downgrades
+    /// the real owner.
+    fn probe(&mut self, core: CoreId, _slice: SliceId, line: LineAddr) -> Option<(bool, u64)> {
+        let m = self.llc.probe(line)?;
+        let remote = m.state == LineState::Modified
+            && m.sharers & !(1 << core.0) != 0
+            && self.llc.snooped.insert(line.0);
+        Some((remote, m.sharers))
     }
 
-    fn view_touch_store(&mut self, line: LineAddr) {
-        if let Some(meta) = self.llc.entry(line) {
-            meta.state = LineState::Modified;
-            meta.sharers |= 1 << self.core.0;
-        }
+    /// An overlay entry with no capacity: the real install and its
+    /// eviction happen at replay.
+    fn allocate(&mut self, _slice: SliceId, line: LineAddr) {
+        self.llc
+            .overlay
+            .insert(line.0, LineMeta::new(LineState::Shared, 0, 0));
     }
 
-    fn view_fill_sharer(&mut self, line: LineAddr) {
-        if let Some(meta) = self.llc.entry(line) {
-            meta.sharers |= 1 << self.core.0;
-        }
+    /// No lock check: `epoch_split` refuses a system holding locks, and
+    /// a window takes none.
+    fn prune_lock(&mut self, _line: LineAddr, _now: Cycle) -> Option<Cycle> {
+        None
     }
 
-    fn touch_private_store(&mut self, line: LineAddr) {
-        if let Some(m) = self.l1d.peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        if let Some(m) = self.l2.peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        self.view_touch_store(line);
-    }
+    /// Timing only: the other cores' copies are invalidated at replay.
+    fn invalidate(&mut self, _mask: u64, _line: LineAddr) {}
 
-    fn fill_private(&mut self, line: LineAddr, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
-        };
-        if self.l2.peek(line).is_none() {
-            let ev = self.l2.insert(line, state);
-            self.handle_private_eviction(ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l2.peek_mut(line) {
-                m.state = LineState::Modified;
-            }
-        }
-        if self.l1d.peek(line).is_none() {
-            let ev = self.l1d.insert(line, state);
-            self.handle_private_eviction(ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l1d.peek_mut(line) {
-                m.state = LineState::Modified;
-            }
-        }
-        self.view_fill_sharer(line);
-    }
-
-    fn handle_private_eviction(&mut self, ev: Eviction) {
-        match ev {
-            Eviction::None | Eviction::Clean { .. } => {}
-            Eviction::Dirty { line: l, .. } => {
-                self.stats.inc(self.ids.private_writeback);
-                if let Some(meta) = self.llc.entry(l) {
-                    meta.state = LineState::Modified;
-                }
-                self.events.push(LlcEvent::DirtyWb(l));
-            }
-        }
+    /// Applied to the overlay and logged for replay.
+    #[inline]
+    fn transition(&mut self, core: CoreId, ev: LlcEvent) -> u64 {
+        self.events.push(ev);
+        self.llc
+            .entry(ev.line())
+            .map_or(0, |meta| ev.apply(core, meta))
     }
 }
 
@@ -625,7 +426,7 @@ impl<'a> CoreMem for EpochCore<'a> {
         self.cfg
     }
     fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind, at: Cycle) -> AccessOutcome {
-        self.window_access(core, addr, kind, at)
+        walk::access(self, core, addr, kind, at)
     }
     fn trace_enabled(&self) -> bool {
         false
@@ -714,90 +515,24 @@ impl MemorySystem {
     }
 
     /// Applies one deferred shared-state transition to the master LLC
-    /// and the *other* cores' private caches. All request-level stats
-    /// were already counted inside the window; only eviction effects
-    /// discovered here (writebacks, back-invalidations), which the
-    /// window cannot see, are counted at replay — replay runs in fixed
-    /// order, so the counts stay deterministic.
+    /// and the *other* cores' private caches, through the same
+    /// directory probe and transitions the classic walk uses. An
+    /// `Access` re-probes the master (LRU bump, dirty-owner downgrade
+    /// against the real private tags) or installs the line. All
+    /// request-level stats were already counted inside the window; only
+    /// eviction effects discovered here (writebacks, back-invalidations),
+    /// which the window cannot see, are counted at replay — replay runs
+    /// in fixed order, so the counts stay deterministic.
     fn replay(&mut self, core: CoreId, ev: LlcEvent) {
-        match ev {
-            LlcEvent::Touch(line) => {
-                let slice = self.home_slice(line);
-                if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                    meta.state = LineState::Modified;
-                    meta.sharers |= 1 << core.0;
-                }
-            }
-            LlcEvent::Upgrade(line) => {
-                let slice = self.home_slice(line);
-                let Some(meta) = self.llc[slice.0].peek_mut(line) else {
-                    return;
-                };
-                let others = meta.sharers & !(1 << core.0);
-                meta.sharers = 1 << core.0;
-                meta.state = LineState::Modified;
-                for c in 0..self.cfg.cores {
-                    if others & (1 << c) != 0 {
-                        self.l1d[c].invalidate(line);
-                        self.l2[c].invalidate(line);
-                    }
-                }
-            }
-            LlcEvent::FillSharer(line) => {
-                let slice = self.home_slice(line);
-                if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                    meta.sharers |= 1 << core.0;
-                }
-            }
-            LlcEvent::Access(line, kind) => self.replay_access(core, line, kind),
-            LlcEvent::DirtyWb(line) => {
-                let slice = self.home_slice(line);
-                if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                    meta.state = LineState::Modified;
-                }
+        if let LlcEvent::Access(line, _) = ev {
+            let slice = self.home_slice(line);
+            if self.probe(core, slice, line).is_none() {
+                let victim = self.llc[slice.0].insert(line, LineState::Shared);
+                self.replay_llc_eviction(victim);
             }
         }
-    }
-
-    /// Replays a full LLC walk: the classic hit/miss master transitions
-    /// (LRU bump, dirty-owner downgrade against the real private tags,
-    /// sharer updates, install + inclusive eviction on miss), without
-    /// re-counting the request-level stats the window already counted.
-    fn replay_access(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) {
-        let slice = self.home_slice(line);
-        if let Some((dirty_owner, sharers)) = self.llc_probe(slice, line) {
-            if let Some(owner) = dirty_owner.filter(|&o| o != core) {
-                self.downgrade_owner(owner, line);
-            }
-            if kind == AccessKind::Store {
-                let others = sharers & !(1 << core.0);
-                for c in 0..self.cfg.cores {
-                    if others & (1 << c) != 0 {
-                        self.l1d[c].invalidate(line);
-                        self.l2[c].invalidate(line);
-                    }
-                }
-            }
-            if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                match kind {
-                    AccessKind::Load => meta.sharers |= 1 << core.0,
-                    AccessKind::Store => {
-                        meta.sharers = 1 << core.0;
-                        meta.state = LineState::Modified;
-                    }
-                }
-            }
-        } else {
-            let state = match kind {
-                AccessKind::Load => LineState::Shared,
-                AccessKind::Store => LineState::Modified,
-            };
-            let ev = self.llc[slice.0].insert(line, state);
-            self.replay_llc_eviction(ev);
-            if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-                meta.sharers = 1 << core.0;
-            }
-        }
+        let revoked = self.transition(core, ev);
+        self.invalidate(revoked, ev.line());
     }
 
     /// Inclusive-eviction handling at replay. Eviction stats are counted
@@ -877,68 +612,6 @@ mod tests {
         assert_eq!(cow.dirty_lines(), 3, "spans three lines");
     }
 
-    /// The invariant the whole scheme rests on: a window executed
-    /// against a shard and merged equals the classic sequential
-    /// execution for single-core traffic (where no cross-core
-    /// interleaving exists to differ on).
-    #[test]
-    fn single_core_window_matches_classic_run() {
-        let mk = |n: u64| {
-            let mut s = sys();
-            let base = s.data_mut().alloc_lines(64 * n);
-            (s, base)
-        };
-        let n = 200u64;
-        let (mut classic, base_a) = mk(n);
-        let (mut epoch, base_b) = mk(n);
-        assert_eq!(base_a, base_b);
-
-        let mut t_classic = Cycle(0);
-        for i in 0..n {
-            let kind = if i % 3 == 0 {
-                AccessKind::Store
-            } else {
-                AccessKind::Load
-            };
-            t_classic = classic
-                .access(CoreId(0), base_a + (i % 50) * 64, kind, t_classic)
-                .complete;
-        }
-
-        let mut t_epoch = Cycle(0);
-        {
-            let mut fleet = epoch.epoch_split(1);
-            let shard = &mut fleet[0];
-            for i in 0..n {
-                let kind = if i % 3 == 0 {
-                    AccessKind::Store
-                } else {
-                    AccessKind::Load
-                };
-                t_epoch = shard
-                    .window_access(CoreId(0), base_b + (i % 50) * 64, kind, t_epoch)
-                    .complete;
-            }
-            let out: Vec<_> = fleet.into_iter().map(EpochCore::finish).collect();
-            epoch.epoch_merge(out);
-        }
-
-        assert_eq!(t_classic, t_epoch, "single-core timing must be identical");
-        for key in ["mem.load", "mem.store", "l1d.hit", "l1d.miss", "llc.miss"] {
-            assert_eq!(
-                classic.stats().counter(key),
-                epoch.stats().counter(key),
-                "counter {key}"
-            );
-        }
-        // Master cache state converged identically.
-        for i in 0..50u64 {
-            let a = base_a + i * 64;
-            assert_eq!(classic.in_l1(CoreId(0), a), epoch.in_l1(CoreId(0), a));
-            assert_eq!(classic.in_llc(a), epoch.in_llc(a));
-        }
-    }
-
     /// Two cores, two threads vs. inline: the merged master state and
     /// stats must not depend on which host thread ran which shard.
     #[test]
@@ -957,7 +630,7 @@ mod tests {
                         AccessKind::Load
                     };
                     t = shard
-                        .window_access(core, base + ((i * 7 + salt) % 40) * 64, kind, t)
+                        .access(core, base + ((i * 7 + salt) % 40) * 64, kind, t)
                         .complete;
                 }
             };

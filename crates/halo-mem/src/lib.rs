@@ -33,6 +33,7 @@ mod config;
 mod epoch;
 mod memory;
 mod system;
+mod walk;
 
 pub use addr::{Addr, CoreId, LineAddr, SliceId, CACHE_LINE};
 pub use cache::{CacheArray, Eviction, LineMeta, LineState};

@@ -10,6 +10,7 @@ use crate::addr::{Addr, CoreId, LineAddr, SliceId};
 use crate::cache::{CacheArray, Eviction, LineMeta, LineState};
 use crate::config::MachineConfig;
 use crate::memory::SimMemory;
+use crate::walk::{self, Hierarchy, LlcEvent, Private};
 use halo_sim::{BankedResource, Cycle, Cycles, Resource, StatId, Stats, Tracer};
 
 /// Kind of a memory access.
@@ -317,119 +318,13 @@ impl MemorySystem {
         kind: AccessKind,
         at: Cycle,
     ) -> AccessOutcome {
-        let out = self.access_untraced(core, addr, kind, at);
+        assert!(core.0 < self.cfg.cores, "core out of range");
+        let out = walk::access(self, core, addr, kind, at);
         if self.tracer.is_enabled() {
             self.tracer
                 .span("mem", level_op(out.level), at, out.complete);
         }
         out
-    }
-
-    /// The uninstrumented access path ([`access`](Self::access) minus
-    /// the hit-level span), shared by the traced wrapper.
-    fn access_untraced(
-        &mut self,
-        core: CoreId,
-        addr: Addr,
-        kind: AccessKind,
-        at: Cycle,
-    ) -> AccessOutcome {
-        assert!(core.0 < self.cfg.cores, "core out of range");
-        let line = addr.line();
-        match kind {
-            AccessKind::Load => self.stats.inc(self.ids.mem_load),
-            AccessKind::Store => self.stats.inc(self.ids.mem_store),
-        }
-
-        // L1 lookup.
-        let t_l1 = self.l1_port[core.0].serve(line.0 as usize, at);
-        if let Some(meta) = self.l1d[core.0].lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l1d_hit);
-            if kind == AccessKind::Store && state != LineState::Modified {
-                // Upgrade: invalidate other sharers through the directory.
-                let t = self.upgrade_for_store(core, line, t_l1);
-                self.touch_private_store(core, line);
-                return AccessOutcome {
-                    complete: t,
-                    level: HitLevel::L1,
-                };
-            }
-            if kind == AccessKind::Store {
-                self.touch_private_store(core, line);
-            }
-            return AccessOutcome {
-                complete: t_l1,
-                level: HitLevel::L1,
-            };
-        }
-        self.stats.inc(self.ids.l1d_miss);
-
-        // L2 lookup.
-        let t_l2 = self.l2_port[core.0].serve(at);
-        let t_l2 = t_l2.max(t_l1);
-        if let Some(meta) = self.l2[core.0].lookup(line) {
-            let state = meta.state;
-            self.stats.inc(self.ids.l2_hit);
-            let mut t = t_l2;
-            if kind == AccessKind::Store && state != LineState::Modified {
-                t = self.upgrade_for_store(core, line, t);
-            }
-            self.fill_private(core, line, kind);
-            return AccessOutcome {
-                complete: t,
-                level: HitLevel::L2,
-            };
-        }
-        self.stats.inc(self.ids.l2_miss);
-
-        // LLC: traverse interconnect to the home slice.
-        let slice = self.home_slice(line);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
-        let t_llc = self.slice_port[slice.0].serve(t_l2 + wire);
-
-        if let Some((dirty_owner, sharers)) = self.llc_probe(slice, line) {
-            self.stats.inc(self.ids.llc_hit);
-            let mut t = t_llc;
-            let mut level = HitLevel::Llc;
-
-            // HALO lock bit: stores must wait for the lock to clear.
-            if kind == AccessKind::Store {
-                if let Some(rel) = self.prune_lock(line, t) {
-                    self.stats.inc(self.ids.store_lock_retry);
-                    t = rel + Cycles(4); // re-issued snoop-invalidate
-                }
-            }
-
-            // Dirty in a remote private cache: core-to-core transfer.
-            if let Some(owner) = dirty_owner {
-                if owner != core {
-                    self.stats.inc(self.ids.llc_dirty_snoop);
-                    t += self.cfg.dirty_snoop_latency;
-                    level = HitLevel::LlcRemoteDirty;
-                    self.downgrade_owner(owner, line);
-                }
-            }
-
-            if kind == AccessKind::Store && sharers != 0 {
-                t = self.invalidate_other_sharers(core, line, slice, t);
-            }
-            self.llc_note_access(slice, line, core, kind);
-            self.fill_private(core, line, kind);
-            return AccessOutcome { complete: t, level };
-        }
-        self.stats.inc(self.ids.llc_miss);
-
-        // DRAM.
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_llc);
-        self.stats.inc(self.ids.dram_access);
-        self.llc_install(slice, line, core, kind);
-        self.fill_private(core, line, kind);
-        AccessOutcome {
-            complete: t_dram,
-            level: HitLevel::Dram,
-        }
     }
 
     /// A coherence-neutral snapshot read (the `SNAPSHOT_READ` instruction):
@@ -463,7 +358,7 @@ impl MemorySystem {
             };
         }
         let slice = self.home_slice(line);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
+        let wire = walk::wire(&self.cfg, core, slice);
         let t_llc = self.slice_port[slice.0].serve(at + self.cfg.l2_latency + wire);
         if self.llc[slice.0].peek(line).is_some() {
             // No sharer update, no private fill: ownership unchanged.
@@ -472,8 +367,7 @@ impl MemorySystem {
                 level: HitLevel::Llc,
             };
         }
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_llc);
+        let t_dram = self.dram.serve(walk::dram_channel(line), t_llc);
         self.llc_install_untracked(slice, line);
         AccessOutcome {
             complete: t_dram,
@@ -536,20 +430,18 @@ impl MemorySystem {
                 level = HitLevel::LlcRemoteDirty;
                 self.downgrade_owner(owner, line);
             }
-            if kind == AccessKind::Store && sharers != 0 {
-                // Invalidate core copies before the accelerator writes.
-                t = self.invalidate_all_sharers(line, home, t);
-            }
             if kind == AccessKind::Store {
+                // Invalidate core copies before the accelerator writes.
                 if let Some(meta) = self.llc[home.0].peek_mut(line) {
+                    meta.sharers = 0;
                     meta.state = LineState::Modified;
                 }
+                t = walk::invalidate_sharers(self, sharers, line, home, t);
             }
             return AccessOutcome { complete: t, level };
         }
         self.stats.inc(self.ids.accel_llc_miss);
-        let chan = (line.0 ^ (line.0 >> 9)) as usize;
-        let t_dram = self.dram.serve(chan, t_arr);
+        let t_dram = self.dram.serve(walk::dram_channel(line), t_arr);
         self.llc_install_untracked(home, line);
         if kind == AccessKind::Store {
             if let Some(meta) = self.llc[home.0].peek_mut(line) {
@@ -613,18 +505,8 @@ impl MemorySystem {
     pub fn warm_private(&mut self, core: CoreId, addr: Addr) {
         self.warm_llc(addr);
         let line = addr.line();
-        if self.l2[core.0].peek(line).is_none() {
-            let ev = self.l2[core.0].insert(line, LineState::Shared);
-            self.handle_private_eviction(core, ev);
-        }
-        if self.l1d[core.0].peek(line).is_none() {
-            let ev = self.l1d[core.0].insert(line, LineState::Shared);
-            self.handle_private_eviction(core, ev);
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.sharers |= 1 << core.0;
-        }
+        walk::fill_private(self, core, line, AccessKind::Load);
+        self.transition(core, LlcEvent::FillSharer(line));
     }
 
     /// Models a DDIO packet delivery: the NIC DMA-writes the line
@@ -649,9 +531,9 @@ impl MemorySystem {
     }
 
     /// Drops every line from `core`'s private caches. Sharer masks in the
-    /// directory are left conservatively stale (see
-    /// `handle_private_eviction`); the dirty-owner probe re-checks private
-    /// tags, so correctness is unaffected.
+    /// directory are left conservatively stale, as on a clean private
+    /// eviction; the dirty-owner probe re-checks private tags, so
+    /// correctness is unaffected.
     pub fn flush_private(&mut self, core: CoreId) {
         self.l1d[core.0].clear();
         self.l2[core.0].clear();
@@ -748,13 +630,6 @@ impl MemorySystem {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Drops the lock on `line` if it has expired by `now`, clearing the
-    /// cache-line lock bit. Returns the still-active release time, if any.
-    fn prune_lock(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
-        let slice = self.home_slice(line);
-        self.llc[slice.0].release_expired(line, now)
-    }
-
     /// Probe the LLC directory with an LRU-updating lookup: `None` on a
     /// miss, else (dirty private owner, sharer mask). The owner is a
     /// sharer whose L1 or L2 holds the line Modified, checked against
@@ -774,30 +649,6 @@ impl MemorySystem {
             })
             .map(CoreId);
         Some((dirty_owner, sharers))
-    }
-
-    fn llc_note_access(&mut self, slice: SliceId, line: LineAddr, core: CoreId, kind: AccessKind) {
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            match kind {
-                AccessKind::Load => meta.sharers |= 1 << core.0,
-                AccessKind::Store => {
-                    meta.sharers = 1 << core.0;
-                    meta.state = LineState::Modified;
-                }
-            }
-        }
-    }
-
-    fn llc_install(&mut self, slice: SliceId, line: LineAddr, core: CoreId, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
-        };
-        let ev = self.llc[slice.0].insert(line, state);
-        self.handle_llc_eviction(ev);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.sharers = 1 << core.0;
-        }
     }
 
     fn llc_install_untracked(&mut self, slice: SliceId, line: LineAddr) {
@@ -845,132 +696,6 @@ impl MemorySystem {
         }
     }
 
-    fn fill_private(&mut self, core: CoreId, line: LineAddr, kind: AccessKind) {
-        let state = match kind {
-            AccessKind::Load => LineState::Shared,
-            AccessKind::Store => LineState::Modified,
-        };
-        if self.l2[core.0].peek(line).is_none() {
-            let ev = self.l2[core.0].insert(line, state);
-            self.handle_private_eviction(core, ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l2[core.0].peek_mut(line) {
-                m.state = LineState::Modified;
-            }
-        }
-        if self.l1d[core.0].peek(line).is_none() {
-            let ev = self.l1d[core.0].insert(line, state);
-            self.handle_private_eviction(core, ev);
-        } else if kind == AccessKind::Store {
-            if let Some(m) = self.l1d[core.0].peek_mut(line) {
-                m.state = LineState::Modified;
-            }
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.sharers |= 1 << core.0;
-        }
-    }
-
-    fn handle_private_eviction(&mut self, _core: CoreId, ev: Eviction) {
-        match ev {
-            Eviction::None | Eviction::Clean { .. } => {}
-            Eviction::Dirty { line: l, .. } => {
-                self.stats.inc(self.ids.private_writeback);
-                // Data stays authoritative in SimMemory; mark LLC dirty.
-                let slice = self.home_slice(l);
-                if let Some(meta) = self.llc[slice.0].peek_mut(l) {
-                    meta.state = LineState::Modified;
-                }
-            }
-        }
-        // NOTE: sharer masks are left conservatively stale on clean
-        // private evictions (real directories are also imprecise); the
-        // dirty-owner probe re-checks private tags, so correctness holds.
-    }
-
-    fn touch_private_store(&mut self, core: CoreId, line: LineAddr) {
-        if let Some(m) = self.l1d[core.0].peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        if let Some(m) = self.l2[core.0].peek_mut(line) {
-            m.state = LineState::Modified;
-        }
-        let slice = self.home_slice(line);
-        if let Some(meta) = self.llc[slice.0].peek_mut(line) {
-            meta.state = LineState::Modified;
-            meta.sharers |= 1 << core.0;
-        }
-    }
-
-    /// Store upgrade from a non-exclusive private copy: consult the
-    /// directory and invalidate other sharers.
-    fn upgrade_for_store(&mut self, core: CoreId, line: LineAddr, at: Cycle) -> Cycle {
-        let slice = self.home_slice(line);
-        let wire = Cycles(2 * self.hops(core, slice) * self.cfg.hop_latency.0);
-        let t = at + wire + Cycles(self.cfg.llc_latency.0 / 2);
-        // Lock bit check on upgrade as well.
-        let t = match self.prune_lock(line, t) {
-            Some(rel) => {
-                self.stats.inc(self.ids.store_lock_retry);
-                rel + Cycles(4)
-            }
-            None => t,
-        };
-        self.invalidate_other_sharers(core, line, slice, t)
-    }
-
-    fn invalidate_other_sharers(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        slice: SliceId,
-        at: Cycle,
-    ) -> Cycle {
-        let Some(meta) = self.llc[slice.0].peek_mut(line) else {
-            return at;
-        };
-        let others = meta.sharers & !(1 << core.0);
-        meta.sharers = 1 << core.0;
-        meta.state = LineState::Modified;
-        if others == 0 {
-            return at;
-        }
-        self.stats.inc(self.ids.coherence_invalidation);
-        let mut t = at;
-        for c in 0..self.cfg.cores {
-            if others & (1 << c) != 0 {
-                self.l1d[c].invalidate(line);
-                self.l2[c].invalidate(line);
-                let d = Cycles(self.hops(CoreId(c), slice) * self.cfg.hop_latency.0 * 2);
-                t = t.max(at + d);
-            }
-        }
-        t
-    }
-
-    fn invalidate_all_sharers(&mut self, line: LineAddr, slice: SliceId, at: Cycle) -> Cycle {
-        let Some(meta) = self.llc[slice.0].peek_mut(line) else {
-            return at;
-        };
-        let sharers = meta.sharers;
-        meta.sharers = 0;
-        if sharers == 0 {
-            return at;
-        }
-        self.stats.inc(self.ids.coherence_invalidation);
-        let mut t = at;
-        for c in 0..self.cfg.cores {
-            if sharers & (1 << c) != 0 {
-                self.l1d[c].invalidate(line);
-                self.l2[c].invalidate(line);
-                let d = Cycles(self.hops(CoreId(c), slice) * self.cfg.hop_latency.0 * 2);
-                t = t.max(at + d);
-            }
-        }
-        t
-    }
-
     pub(crate) fn downgrade_owner(&mut self, owner: CoreId, line: LineAddr) {
         if let Some(m) = self.l1d[owner.0].peek_mut(line) {
             m.state = LineState::Shared;
@@ -982,6 +707,76 @@ impl MemorySystem {
         if let Some(meta) = self.llc[slice.0].peek_mut(line) {
             meta.state = LineState::Modified; // LLC now holds latest data
         }
+    }
+}
+
+/// The live hierarchy: every transition lands at once.
+impl Hierarchy for MemorySystem {
+    #[inline]
+    fn cfg(&self) -> &MachineConfig {
+        &self.cfg
+    }
+
+    #[inline]
+    fn counters(&mut self) -> (&mut Stats, &MemStatIds) {
+        (&mut self.stats, &self.ids)
+    }
+
+    #[inline]
+    fn private(&mut self, core: CoreId) -> Private<'_> {
+        Private {
+            l1d: &mut self.l1d[core.0],
+            l2: &mut self.l2[core.0],
+            l1_port: &mut self.l1_port[core.0],
+            l2_port: &mut self.l2_port[core.0],
+        }
+    }
+
+    #[inline]
+    fn uncore(&mut self) -> (&mut [Resource], &mut BankedResource) {
+        (&mut self.slice_port, &mut self.dram)
+    }
+
+    /// The LRU-updating directory lookup; a remote dirty owner is found
+    /// in the real private tags and downgraded to Shared.
+    fn probe(&mut self, core: CoreId, slice: SliceId, line: LineAddr) -> Option<(bool, u64)> {
+        let (owner, sharers) = self.llc_probe(slice, line)?;
+        let remote = owner.filter(|&o| o != core);
+        if let Some(owner) = remote {
+            self.downgrade_owner(owner, line);
+        }
+        Some((remote.is_some(), sharers))
+    }
+
+    /// A real insert, back-invalidating the victim's sharers.
+    fn allocate(&mut self, slice: SliceId, line: LineAddr) {
+        self.llc_install_untracked(slice, line);
+    }
+
+    /// Drops the lock if it has expired by `now`, clearing the line's
+    /// lock bit.
+    fn prune_lock(&mut self, line: LineAddr, now: Cycle) -> Option<Cycle> {
+        let slice = self.home_slice(line);
+        self.llc[slice.0].release_expired(line, now)
+    }
+
+    fn invalidate(&mut self, mask: u64, line: LineAddr) {
+        let mut rest = mask;
+        while rest != 0 {
+            let c = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.l1d[c].invalidate(line);
+            self.l2[c].invalidate(line);
+        }
+    }
+
+    #[inline]
+    fn transition(&mut self, core: CoreId, ev: LlcEvent) -> u64 {
+        let line = ev.line();
+        let slice = self.home_slice(line);
+        self.llc[slice.0]
+            .peek_mut(line)
+            .map_or(0, |meta| ev.apply(core, meta))
     }
 }
 

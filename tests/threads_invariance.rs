@@ -4,10 +4,19 @@
 //! epoch/barrier scheme. The quick checks here always run; the full
 //! backend × stream matrix runs under the `slow-tests` feature (the
 //! deep CI job). The window-boundary checks pin where barriers fall.
+//!
+//! Two further checks pin the epoch executor's *values*, which thread
+//! invariance alone cannot: a one-core window merged back must leave
+//! exactly the state of the classic sequential run, and the epoch runs
+//! above hash to recorded digests (no GOLDEN figure runs through the
+//! epoch path).
 
 use halo_nfv::datapath::{TableBackend, TrafficEvent};
-use halo_nfv::mem::{MachineConfig, MemorySystem};
+use halo_nfv::mem::{
+    AccessKind, Addr, CoreId, CoreMem, EpochCore, MachineConfig, MemorySystem, SliceId,
+};
 use halo_nfv::nf::{StreamConfig, StreamingTrafficGen};
+use halo_nfv::sim::{Cycle, SplitMix64};
 use halo_nfv::vswitch::{LookupBackend, MultiCoreConfig, MultiCoreDatapath};
 
 /// Every stats counter, sorted by name — a deterministic fingerprint of
@@ -82,13 +91,115 @@ fn flood_stream_is_threads_invariant() {
     assert_eq!(one, four);
 }
 
+/// 64-bit FNV-1a, for pinning long outcome strings in a test.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The epoch executor's numbers, not only their thread invariance:
+/// a change that shifts every epoch value the same way at every thread
+/// count must still fail here. Re-record only for an intended change
+/// to epoch timing, and say why in the changelog.
+#[test]
+fn epoch_outcomes_match_recorded_digests() {
+    assert_eq!(
+        fnv1a(&scaling_outcome(TableBackend::Cuckoo, 1, 50)),
+        SCALING_DIGEST,
+        "scaling_outcome(Cuckoo, 1, 50) changed"
+    );
+    assert_eq!(
+        fnv1a(&stream_outcome(
+            TableBackend::Cuckoo,
+            1,
+            StreamConfig::churn(2_000)
+        )),
+        CHURN_DIGEST,
+        "stream_outcome(Cuckoo, 1, churn(2000)) changed"
+    );
+}
+
+const SCALING_DIGEST: u64 = 0x37c6_fff4_e2f6_0b05;
+const CHURN_DIGEST: u64 = 0xe2ad_7dd2_0dad_4c16;
+
+/// Drives `accesses` seeded core-0 accesses (one in three a store) over
+/// `lines` consecutive lines from `base`; returns the last completion.
+fn drive<M: CoreMem>(mem: &mut M, base: Addr, lines: u64, accesses: u64) -> Cycle {
+    let mut rng = SplitMix64::new(0x5eed ^ lines);
+    let mut t = Cycle(0);
+    for _ in 0..accesses {
+        let kind = if rng.below(3) == 0 {
+            AccessKind::Store
+        } else {
+            AccessKind::Load
+        };
+        let addr = base + rng.below(lines) * 64;
+        t = mem.access(CoreId(0), addr, kind, t).complete;
+    }
+    t
+}
+
+/// Every observable piece of master state: completion cycle, sorted
+/// stats, each LLC line's `(state, sharers)` and core 0's private
+/// `(line, state)` pairs, all sorted.
+fn full_state(sys: &MemorySystem, done: Cycle) -> String {
+    let mut llc: Vec<_> = (0..sys.config().slices)
+        .flat_map(|s| sys.llc_slice_lines(SliceId(s)))
+        .map(|(l, m)| (l.0, m.state, m.sharers))
+        .collect();
+    let mut l1: Vec<_> = sys
+        .l1_lines(CoreId(0))
+        .map(|(l, m)| (l.0, m.state))
+        .collect();
+    let mut l2: Vec<_> = sys
+        .l2_lines(CoreId(0))
+        .map(|(l, m)| (l.0, m.state))
+        .collect();
+    llc.sort_by_key(|r| r.0);
+    l1.sort_by_key(|r| r.0);
+    l2.sort_by_key(|r| r.0);
+    format!(
+        "{done:?}\n{}\nllc {llc:?}\nl1 {l1:?}\nl2 {l2:?}",
+        stats_fingerprint(sys)
+    )
+}
+
+/// A one-core window merged back leaves exactly the classic state:
+/// with a single core there is no cross-core interleaving for the two
+/// paths to differ on. Sizes: L1-resident, beyond L1, and beyond L2 but
+/// well under the LLC of `MachineConfig::small`.
+#[test]
+fn single_core_window_matches_classic_full_state() {
+    for lines in [50u64, 300, 2_000] {
+        let accesses = 6_000;
+        let mut classic = MemorySystem::new(MachineConfig::small());
+        let base = classic.data_mut().alloc_lines(64 * lines);
+        let done = drive(&mut classic, base, lines, accesses);
+        let want = full_state(&classic, done);
+
+        let mut epoch = MemorySystem::new(MachineConfig::small());
+        assert_eq!(epoch.data_mut().alloc_lines(64 * lines), base);
+        let mut fleet = epoch.epoch_split(1);
+        let done = drive(&mut fleet[0], base, lines, accesses);
+        let out = fleet.into_iter().map(EpochCore::finish).collect();
+        epoch.epoch_merge(out);
+        assert_eq!(want, full_state(&epoch, done), "{lines} lines diverged");
+
+        if lines == 2_000 {
+            for key in ["l2.hit", "llc.hit", "private.writeback"] {
+                assert!(classic.stats().counter(key) > 0, "{key} not exercised");
+            }
+        }
+    }
+}
+
 /// At every window barrier the master system must satisfy all of
 /// halo-check's memory-system invariants (placement, inclusion,
 /// directory, single-owner, lock hygiene) — the merged state is a real
 /// coherent state, not just a matching byte pattern.
 #[test]
 fn barriers_leave_master_state_audit_clean() {
-    use halo_nfv::sim::Cycle;
     let (mut sys, mut dp) = datapath(TableBackend::Cuckoo, 4);
     let mut barriers = 0u64;
     let mut hook = |s: &MemorySystem| {
