@@ -70,6 +70,9 @@ pub struct HaloAccelerator {
     metadata: MetadataCache,
     queries: u64,
     busy_cycles: Cycles,
+    /// Bucket/kv lines the current query pinned; empty between queries
+    /// and kept so a query allocates nothing.
+    locked: Vec<LineAddr>,
 }
 
 impl HaloAccelerator {
@@ -87,6 +90,7 @@ impl HaloAccelerator {
             metadata,
             queries: 0,
             busy_cycles: Cycles::ZERO,
+            locked: Vec::new(),
         }
     }
 
@@ -149,7 +153,6 @@ impl HaloAccelerator {
         let mut dram_steps = 0u64;
         let mut mem_steps = 0u64;
         let mut data_cycles = Cycles::ZERO;
-        let mut locked: Vec<LineAddr> = Vec::new();
 
         let mut access = |sys: &mut MemorySystem,
                           slice: SliceId,
@@ -177,9 +180,7 @@ impl HaloAccelerator {
                     if self.cfg.metadata_cache && self.metadata.access(a) {
                         t += Cycles(1); // metadata-cache hit
                     } else {
-                        if self.cfg.metadata_cache {
-                            // Miss path already inserted the entry.
-                        }
+                        // A metadata-cache miss has already inserted the entry.
                         t = access(sys, self.slice, a, AccessKind::Load, t);
                     }
                 }
@@ -189,7 +190,7 @@ impl HaloAccelerator {
                 TraceStep::LoadBucket(a) | TraceStep::LoadKv(a) => {
                     t = access(sys, self.slice, a, AccessKind::Load, t);
                     if self.cfg.hardware_locking {
-                        locked.push(a.line());
+                        self.locked.push(a.line());
                     }
                 }
                 TraceStep::CompareSigs | TraceStep::CompareKey => {
@@ -215,10 +216,8 @@ impl HaloAccelerator {
 
         // Hardware locking: the touched bucket/kv lines were pinned for
         // the duration of the query (release at completion).
-        if self.cfg.hardware_locking {
-            for line in locked {
-                sys.hw_lock(line, t);
-            }
+        for line in self.locked.drain(..) {
+            sys.hw_lock(line, t);
         }
 
         self.scoreboard.commit(t);

@@ -1,7 +1,7 @@
 //! Table 1: instruction count and mix of a single software cuckoo
 //! lookup.
 
-use halo_cpu::{build_sw_lookup, Scratch, UopKind};
+use halo_cpu::{build_sw_lookup, Scratch};
 use halo_mem::{MachineConfig, MemorySystem};
 use halo_sim::{fmt_f64, TextTable};
 use halo_tables::{CuckooTable, FlowKey};
@@ -38,14 +38,10 @@ pub fn run() -> Table1Row {
     for id in 0..N {
         let tr = table.lookup_traced(sys.data_mut(), &FlowKey::synthetic(id, 13), true);
         let prog = build_sw_lookup(&tr, &mut scratch, None);
+        let (l, s, _) = prog.mix();
         total += prog.len();
-        for u in prog.uops() {
-            match u.kind {
-                UopKind::Load { .. } => loads += 1,
-                UopKind::Store { .. } => stores += 1,
-                UopKind::Compute { .. } => {}
-            }
-        }
+        loads += l;
+        stores += s;
     }
     let n = N as usize;
     let instructions = total / n;

@@ -42,4 +42,4 @@ pub use swlookup::{
     build_sw_lookup, build_sw_lookup_bulk, build_sw_lookup_into, Scratch, SW_ARITH_FRACTION,
     SW_LOAD_FRACTION, SW_LOOKUP_INSTRUCTIONS, SW_STORE_FRACTION,
 };
-pub use uop::{Program, Uop, UopId, UopKind};
+pub use uop::{Program, UopId, UopKind};

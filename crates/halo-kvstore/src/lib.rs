@@ -226,9 +226,7 @@ impl KvStore {
             }
         }
         // memcpy-ish per-line work + key verification.
-        for _ in 0..(lines * 4 + 8) {
-            p.compute(1, &[]);
-        }
+        p.compute_run(1, lines * 4 + 8);
         p
     }
 

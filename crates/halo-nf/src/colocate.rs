@@ -120,9 +120,7 @@ impl SwitchThread {
                 let core = self.exec.core_id();
                 let (_, probes) = self.tss.classify_traced(sys.data_mut(), &key, false);
                 let mut issue = halo_cpu::Program::new();
-                for _ in 0..probes.len() + 1 {
-                    issue.compute(1, &[]);
-                }
+                issue.compute_run(1, probes.len() + 1);
                 let lk = issue.load(self.exec.scratch_mut().next(), &[]);
                 issue.compute(1, &[lk]);
                 let issued = self.exec.run(&issue, sys, at).finish;

@@ -150,9 +150,7 @@ impl ComputeNf {
             let a = self.ws_base + self.rng.below(self.ws_lines) * CACHE_LINE;
             p.store(a, &[]);
         }
-        for _ in 0..compute {
-            p.compute(1, &[]);
-        }
+        p.compute_run(1, compute);
         p
     }
 

@@ -176,9 +176,7 @@ impl HashNf {
         for _ in 0..stores {
             p.store(scratch.next(), &[]);
         }
-        for _ in 0..compute {
-            p.compute(1, &[]);
-        }
+        p.compute_run(1, compute);
         p
     }
 

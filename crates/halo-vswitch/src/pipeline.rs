@@ -381,9 +381,7 @@ impl VirtualSwitch {
         for _ in 0..n_loads {
             p.load(scratch.next(), &[]);
         }
-        for _ in 0..(uops - uops / 5 - loads.len().min(uops)) {
-            p.compute(1, &[]);
-        }
+        p.compute_run(1, uops - uops / 5 - loads.len().min(uops));
         exec.run(p, sys, at)
     }
 
