@@ -36,6 +36,7 @@
 //! assert_eq!(v, Some(42));
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

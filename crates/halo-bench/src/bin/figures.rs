@@ -30,6 +30,8 @@
 //! and writes `TRACE_halo.json` — a Chrome trace-event document
 //! loadable in `chrome://tracing` or Perfetto.
 
+#![deny(unsafe_code)]
+
 use halo_bench::experiments as ex;
 
 fn main() {

@@ -20,6 +20,7 @@
 //! | Fig. 13 (hash-table NF speedups) | [`experiments::fig13`] | `figures fig13` |
 //! | Ablations (DESIGN.md §6) | [`experiments::ablation`] | `figures ablation` |
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

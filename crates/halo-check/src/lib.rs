@@ -50,6 +50,7 @@
 //!     .expect("cuckoo agrees with the oracle");
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -33,6 +33,7 @@
 //! assert_eq!(emc.lookup(&mut mem, &pkt.miniflow()), Some(7));
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

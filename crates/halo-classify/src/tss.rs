@@ -14,6 +14,10 @@ use crate::mask::WildcardMask;
 use halo_mem::SimMemory;
 use halo_tables::{CuckooTable, FlowKey, FlowTable, LookupTrace, TableFullError};
 
+/// How many tuples ahead [`TupleSpace::classify_traced`] hints its
+/// probes' buckets into the host cache (chosen by measurement).
+const WALK_AHEAD: usize = 4;
+
 /// Search semantics of a tuple space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchMode {
@@ -332,7 +336,15 @@ impl<T: FlowTable> TupleSpace<T> {
     ) -> (Option<RuleMatch>, Vec<(usize, LookupTrace)>) {
         let mut probes = Vec::with_capacity(self.tuples.len());
         let mut best: Option<RuleMatch> = None;
+        // Staged walk: hint tuple i + WALK_AHEAD's buckets while tuple
+        // i is probed, so their host cache misses overlap.
+        for ahead in self.tuples.iter().take(WALK_AHEAD) {
+            ahead.table.prefetch(mem, &ahead.mask.apply(key));
+        }
         for (i, tuple) in self.tuples.iter().enumerate() {
+            if let Some(ahead) = self.tuples.get(i + WALK_AHEAD) {
+                ahead.table.prefetch(mem, &ahead.mask.apply(key));
+            }
             let masked = tuple.mask.apply(key);
             let tr = tuple.table.lookup_traced(mem, &masked, software_locking);
             let result = tr.result;

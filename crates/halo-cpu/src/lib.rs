@@ -30,6 +30,7 @@
 //! assert!(report.duration().0 > 0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -31,6 +31,9 @@ pub struct Scratch {
     base: Addr,
     lines: u64,
     cursor: u64,
+    /// Host-side buffer for the lookup builder's dependency frontier,
+    /// kept here so [`build_sw_lookup_into`] allocates nothing per call.
+    frontier: Vec<UopId>,
 }
 
 impl Scratch {
@@ -45,6 +48,7 @@ impl Scratch {
             base,
             lines: Self::LINES,
             cursor: 0,
+            frontier: Vec::with_capacity(16),
         }
     }
 
@@ -117,8 +121,10 @@ pub fn build_sw_lookup_into(
     let mut other = 0usize;
 
     // `last` is the dataflow spine's current frontier: the prologue
-    // loads, then the key, then each trace step's result.
-    let mut last: Vec<UopId> = Vec::with_capacity(16);
+    // loads, then the key, then each trace step's result. Its buffer is
+    // borrowed from `scratch` and handed back at the end.
+    let mut last = std::mem::take(&mut scratch.frontier);
+    last.clear();
 
     // --- Prologue: function entry, packet bookkeeping (filler). -------
     for _ in 0..10 {
@@ -141,9 +147,9 @@ pub fn build_sw_lookup_into(
     }
 
     // --- Walk the trace, building the dataflow spine. ------------------
-    // Both frontiers are reused in place (`set_one`), so the walk
-    // allocates nothing per step.
-    let mut hash_done: Vec<UopId> = Vec::new();
+    // `last` is reused in place (`set_one`), so the walk allocates
+    // nothing per step.
+    let mut hash_done: Option<UopId> = None;
     for step in &trace.steps {
         match *step {
             TraceStep::LoadMeta(a) => {
@@ -174,16 +180,16 @@ pub fn build_sw_lookup_into(
                     h = p.compute(lat, &[h]);
                     arith += 1;
                 }
-                set_one(&mut hash_done, h);
+                hash_done = Some(h);
                 set_one(&mut last, h);
             }
             TraceStep::LoadBucket(a) => {
                 // Bucket fetches depend on the hash, not on each other:
                 // DPDK prefetches both candidate buckets.
-                let dep = if hash_done.is_empty() {
-                    &last
+                let dep = if hash_done.is_some() {
+                    hash_done.as_slice()
                 } else {
-                    &hash_done
+                    &last
                 };
                 let id = p.load(a, dep);
                 loads += 1;
@@ -242,6 +248,7 @@ pub fn build_sw_lookup_into(
     // Result epilogue: a couple of dependent ops after the spine.
     let fin = p.compute(1, &last);
     p.store(scratch.next(), &[fin]);
+    scratch.frontier = last;
 }
 
 /// Replaces a dependency frontier with the single uop `id`, keeping

@@ -184,6 +184,14 @@ impl FlowTable for ExactTable {
         }
     }
 
+    fn prefetch(&self, mem: &SimMemory, key: &FlowKey) {
+        match self {
+            ExactTable::Cuckoo(t) => FlowTable::prefetch(t, mem, key),
+            ExactTable::CuckooPlusPlus(t) => FlowTable::prefetch(t, mem, key),
+            ExactTable::Emoma(t) => FlowTable::prefetch(t, mem, key),
+        }
+    }
+
     fn warm_lines(&self) -> Vec<Addr> {
         self.all_lines()
     }

@@ -66,6 +66,7 @@
 //! assert!(again.emc_hit); // promoted
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -80,7 +81,7 @@ use halo_classify::{Emc, RuleMatch};
 use halo_cpu::{build_sw_lookup_into, CoreModel, ExecReport, Program, Scratch};
 use halo_mem::{Addr, CoreId, CoreMem, MemCtx, MemorySystem, SimMemory, CACHE_LINE};
 use halo_sim::{Cycle, Cycles};
-use halo_tables::{hash_key, FlowKey, LookupTrace, SEED_PRIMARY};
+use halo_tables::{hash_key, FlowKey, LookupTrace, TraceStep, SEED_PRIMARY};
 
 /// How flow-classification lookups execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,6 +120,44 @@ impl LookupBackend {
 /// Cycles between a `LOOKUP_B` completion and the core observing the
 /// result (register writeback + pipeline restart).
 const BLOCKING_RESUME: Cycles = Cycles(4);
+
+/// How many probes ahead a HALO search hints the LLC tag sets of a
+/// probe's bucket and kv lines into the host cache (chosen by
+/// measurement).
+const SEARCH_SET_AHEAD: usize = 8;
+
+/// How many probes ahead a HALO search hints the LLC metadata of those
+/// lines; nearer than [`SEARCH_SET_AHEAD`], since finding the way scans
+/// the hinted set.
+const SEARCH_WAY_AHEAD: usize = 3;
+
+/// Stages the host-cache misses of a HALO search: before probe `k` is
+/// dispatched, hints the LLC tag sets of probe `k + SEARCH_SET_AHEAD`'s
+/// bucket and kv lines (of every probe up to it, when `k` is the first)
+/// and the LLC metadata of probe `k + SEARCH_WAY_AHEAD`'s. Those are the
+/// lines the accelerator reads and then locks. Hints change no simulated
+/// state.
+fn prefetch_probes(sys: &MemorySystem, probes: &[(usize, LookupTrace)], k: usize) {
+    let first_far = if k == 0 { 0 } else { k + SEARCH_SET_AHEAD };
+    for (_, tr) in probes.iter().take(k + SEARCH_SET_AHEAD + 1).skip(first_far) {
+        for a in table_lines(tr) {
+            sys.prefetch_llc_set(a);
+        }
+    }
+    if let Some((_, tr)) = probes.get(k + SEARCH_WAY_AHEAD) {
+        for a in table_lines(tr) {
+            sys.prefetch_llc_way(a);
+        }
+    }
+}
+
+/// The bucket and kv lines a lookup trace reads.
+fn table_lines(tr: &LookupTrace) -> impl Iterator<Item = Addr> + '_ {
+    tr.steps.iter().filter_map(|s| match *s {
+        TraceStep::LoadBucket(a) | TraceStep::LoadKv(a) => Some(a),
+        _ => None,
+    })
+}
 
 /// One event of a streaming traffic workload.
 ///
@@ -366,7 +405,8 @@ impl LookupExecutor {
                 let engine = engine.expect("HALO backend needs an engine");
                 let base_hash = hash_key(key, SEED_PRIMARY);
                 let mut t = at;
-                for (i, tr) in probes {
+                for (k, (i, tr)) in probes.iter().enumerate() {
+                    prefetch_probes(sys, probes, k);
                     let table_addr = Self::probe_addr(space, *i);
                     let h = base_hash ^ (*i as u64);
                     t = engine
@@ -381,9 +421,11 @@ impl LookupExecutor {
                 let nb = self.nb.expect("non-blocking backend needs an NbRegion");
                 // Issue every probed tuple at once (one per cycle);
                 // results land in distinct destination words.
+                let base_hash = hash_key(key, SEED_PRIMARY);
                 let mut finish = at;
                 for (slot, (i, tr)) in probes.iter().enumerate() {
-                    let h = hash_key(key, SEED_PRIMARY) ^ (*i as u64);
+                    prefetch_probes(sys, probes, slot);
+                    let h = base_hash ^ (*i as u64);
                     let out = engine.dispatch(
                         sys,
                         self.core,

@@ -25,6 +25,7 @@
 //! assert_eq!(kv.get(&mut sys, b"user:43"), None);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -219,8 +220,7 @@ impl KvStore {
         let lines = (6 + key_len + value_len).div_ceil(CACHE_LINE as usize);
         let mut dep = None;
         for i in 0..lines {
-            let deps: Vec<u32> = dep.into_iter().collect();
-            let id = p.load(rec + (i as u64) * CACHE_LINE, &deps);
+            let id = p.load(rec + (i as u64) * CACHE_LINE, dep.as_slice());
             if i == 0 {
                 dep = Some(id); // header load gates the rest
             }

@@ -17,7 +17,7 @@
 
 use crate::addr::LineAddr;
 use crate::config::CacheGeometry;
-use halo_sim::Cycle;
+use halo_sim::{hint, Cycle};
 
 /// Tag value marking an invalid (empty) way. Line addresses are byte
 /// addresses shifted right by 6, so no reachable line collides with it.
@@ -35,7 +35,11 @@ pub enum LineState {
 
 /// Metadata for one cached line. The line's address lives in the tag
 /// array; iterate with [`CacheArray::iter_lines`] to see it.
+///
+/// Aligned to its size, so one way's metadata never straddles two host
+/// cache lines.
 #[derive(Debug, Clone)]
+#[repr(align(32))]
 pub struct LineMeta {
     /// Release cycle of the HALO hardware lock; meaningful only while
     /// `locked`.
@@ -102,13 +106,65 @@ pub enum Eviction {
     },
 }
 
+/// Tags per 64-byte host cache line.
+const HOST_LINE_TAGS: usize = 8;
+
+/// Host alignment of the tag array, in tags: 128 bytes, one 16-way set.
+const TAG_ALIGN: usize = 16;
+
+/// A tag array whose first tag sits on a 128-byte host boundary, so a
+/// 16-way set (128 bytes) spans two host cache lines rather than three,
+/// and an 8-way set one rather than two. The allocator places large
+/// vectors 16 bytes past a page boundary, so the buffer carries a few
+/// tags of slack and the array starts at the first aligned one. Derefs
+/// to the `len` tags proper.
+#[derive(Debug)]
+struct Tags {
+    buf: Vec<u64>,
+    off: usize,
+    len: usize,
+}
+
+impl Tags {
+    fn new(len: usize) -> Self {
+        let buf = vec![TAG_INVALID; len + TAG_ALIGN - 1];
+        let align_bytes = TAG_ALIGN * std::mem::size_of::<u64>();
+        let off = buf.as_ptr().addr().wrapping_neg() % align_bytes / std::mem::size_of::<u64>();
+        Tags { buf, off, len }
+    }
+}
+
+impl Clone for Tags {
+    fn clone(&self) -> Self {
+        // A fresh buffer has its own alignment, so re-derive the offset.
+        let mut t = Tags::new(self.len);
+        t.copy_from_slice(self);
+        t
+    }
+}
+
+impl std::ops::Deref for Tags {
+    type Target = [u64];
+    #[inline]
+    fn deref(&self) -> &[u64] {
+        &self.buf[self.off..self.off + self.len]
+    }
+}
+
+impl std::ops::DerefMut for Tags {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.buf[self.off..self.off + self.len]
+    }
+}
+
 /// A set-associative array with strict-LRU replacement.
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
     ways: usize,
     /// `sets * ways` tags; [`TAG_INVALID`] = invalid way. Probed first.
-    tags: Vec<u64>,
+    tags: Tags,
     /// Parallel per-way metadata; meaningful only where the tag is valid.
     meta: Vec<LineMeta>,
     tick: u64,
@@ -131,7 +187,7 @@ impl CacheArray {
         CacheArray {
             sets,
             ways: geom.ways,
-            tags: vec![TAG_INVALID; slots],
+            tags: Tags::new(slots),
             meta: vec![LineMeta::invalid(); slots],
             tick: 0,
             hits: 0,
@@ -179,6 +235,27 @@ impl CacheArray {
                 self.misses += 1;
                 None
             }
+        }
+    }
+
+    /// Hints the host lines of the tag set `line` maps to, ahead of a
+    /// probe of `line`. Touches no LRU state, counter or line.
+    #[inline]
+    pub(crate) fn prefetch_set(&self, line: LineAddr) {
+        let set = &self.tags[self.set_range(line)];
+        for tags in set.chunks(HOST_LINE_TAGS) {
+            hint::prefetch(&tags[0]);
+        }
+    }
+
+    /// Hints the host line of `line`'s metadata, if `line` is resident.
+    /// Scans the tag set, so it pays once that set is in the host cache
+    /// (after [`prefetch_set`](Self::prefetch_set)). Touches no LRU
+    /// state, counter or line.
+    #[inline]
+    pub(crate) fn prefetch_way(&self, line: LineAddr) {
+        if let Some(i) = self.find(line) {
+            hint::prefetch(&self.meta[i]);
         }
     }
 
@@ -617,5 +694,56 @@ mod tests {
         );
         // The sweep cross-checks the live counter under debug assertions.
         c.unlock_expired(Cycle(0));
+    }
+
+    #[test]
+    fn hints_leave_lru_counters_and_locks_alone() {
+        let mut c = tiny();
+        let (a, b, d) = same_set_lines(&c);
+        c.insert(a, LineState::Shared);
+        c.insert(b, LineState::Shared);
+        c.lock(a, Cycle(100));
+        // Touch `a` so `b` is the LRU victim of the full set.
+        assert!(c.lookup(a).is_some());
+        let before = (c.hits(), c.misses(), c.resident(), c.locked_lines());
+        for line in [a, b, d, LineAddr(u64::MAX >> 6)] {
+            c.prefetch_set(line);
+            c.prefetch_way(line);
+        }
+        assert_eq!(
+            (c.hits(), c.misses(), c.resident(), c.locked_lines()),
+            before
+        );
+        assert_eq!(c.peek(a).unwrap().lock_release(), Some(Cycle(100)));
+        assert_eq!(c.peek(b).unwrap().lock_release(), None);
+        let ev = c.insert(d, LineState::Shared);
+        assert_eq!(
+            ev,
+            Eviction::Clean {
+                line: b,
+                sharers: 0
+            },
+            "a hinted way must not become most recently used"
+        );
+    }
+
+    #[test]
+    fn tag_sets_start_on_host_line_boundaries() {
+        for ways in [4, 8, 16] {
+            let c = CacheArray::new(CacheGeometry {
+                capacity: 64 * 64 * ways as u64,
+                ways,
+            });
+            for arr in [c.clone(), c] {
+                let set_bytes = ways * std::mem::size_of::<u64>();
+                assert_eq!(
+                    arr.tags.as_ptr().addr() % set_bytes.min(128),
+                    0,
+                    "{ways} ways"
+                );
+                assert_eq!(arr.meta.as_ptr().addr() % 32, 0);
+                assert_eq!(arr.tags.len(), arr.capacity_lines());
+            }
+        }
     }
 }

@@ -24,6 +24,7 @@
 //! assert!(out.complete > Cycle(0));
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -397,6 +397,28 @@ impl MemorySystem {
         out
     }
 
+    /// Hints the host lines of the home LLC slice's tag set for `addr`,
+    /// ahead of an accelerator access (or hardware lock) of it. The far
+    /// stage of a staged search: issue it several accesses ahead.
+    ///
+    /// Hints change no simulated state (DESIGN.md §9 item 10): no LRU
+    /// rank, counter, stat, lock or line moves.
+    #[inline]
+    pub fn prefetch_llc_set(&self, addr: Addr) {
+        let line = addr.line();
+        self.llc[self.home_slice(line).0].prefetch_set(line);
+    }
+
+    /// Hints the host line of `addr`'s LLC metadata, if the line is
+    /// resident. The near stage: it scans the tag set, so issue it a
+    /// few accesses ahead and after [`prefetch_llc_set`](Self::prefetch_llc_set).
+    /// Changes no simulated state.
+    #[inline]
+    pub fn prefetch_llc_way(&self, addr: Addr) {
+        let line = addr.line();
+        self.llc[self.home_slice(line).0].prefetch_way(line);
+    }
+
     fn accel_access_untraced(
         &mut self,
         from: SliceId,
@@ -1126,5 +1148,86 @@ mod tests {
             }
         }
         assert_eq!(s.hops(CoreId(0), SliceId(0)), 0);
+    }
+
+    /// Everything a hint could disturb: every counter, each LLC slice's
+    /// resident lines with their state, LRU tick and lock.
+    fn observable(s: &MemorySystem) -> (Vec<(String, u64)>, Vec<Vec<String>>) {
+        let counters = s
+            .stats()
+            .counters()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect();
+        let slices = (0..s.config().slices)
+            .map(|sl| {
+                s.llc_slice_lines(SliceId(sl))
+                    .map(|(l, m)| {
+                        format!(
+                            "{l} {:?} {} {} {:?}",
+                            m.state,
+                            m.lru,
+                            m.sharers,
+                            m.lock_release()
+                        )
+                    })
+                    .collect()
+            })
+            .collect();
+        (counters, slices)
+    }
+
+    #[test]
+    fn llc_hints_change_no_simulated_state() {
+        // Two identical systems run the same accesses; one also hints
+        // every line, resident or not, before and between them. A
+        // working set of 4x the LLC keeps sets full, so any LRU or lock
+        // disturbance would change a later victim and show up below.
+        let (mut hinted, mut plain) = (sys(), sys());
+        let llc = hinted.config().llc_capacity();
+        let base = hinted.data_mut().alloc_lines(4 * llc);
+        plain.data_mut().alloc_lines(4 * llc);
+        let mut rng = halo_sim::SplitMix64::new(0x41);
+        let never_written = Addr(base.0 + 8 * llc);
+        for step in 0..20_000u64 {
+            let a = base + rng.below(4 * llc / 64) * 64;
+            let at = Cycle(step * 7);
+            for probe in [a, a + 64 * 97, never_written, Addr(u64::MAX - 7)] {
+                hinted.prefetch_llc_set(probe);
+                hinted.prefetch_llc_way(probe);
+                hinted.data().prefetch(probe);
+            }
+            let from = SliceId(rng.below(hinted.config().slices as u64) as usize);
+            let kind = if rng.chance(0.2) {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            let (x, y) = if rng.chance(0.5) {
+                (
+                    hinted.accel_access(from, a, kind, at),
+                    plain.accel_access(from, a, kind, at),
+                )
+            } else {
+                let core = CoreId(rng.below(hinted.config().cores as u64) as usize);
+                (
+                    hinted.access(core, a, kind, at),
+                    plain.access(core, a, kind, at),
+                )
+            };
+            assert_eq!((x.complete, x.level), (y.complete, y.level), "step {step}");
+            if rng.chance(0.3) {
+                hinted.hw_lock(a.line(), at + Cycles(500));
+                plain.hw_lock(a.line(), at + Cycles(500));
+            }
+        }
+        assert_eq!(observable(&hinted), observable(&plain));
+        assert_eq!(
+            hinted.data().resident_pages(),
+            plain.data().resident_pages()
+        );
+        assert!(
+            hinted.held_locks().count() > 0,
+            "some locks are held at the end"
+        );
     }
 }

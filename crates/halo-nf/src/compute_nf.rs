@@ -139,8 +139,7 @@ impl ComputeNf {
         let mut last = None;
         for _ in 0..chain_len {
             let a = self.ws_base + self.rng.below(self.ws_lines) * CACHE_LINE;
-            let deps: Vec<u32> = last.into_iter().collect();
-            last = Some(p.load(a, &deps));
+            last = Some(p.load(a, last.as_slice()));
         }
         for _ in chain_len..loads {
             let a = self.ws_base + self.rng.below(self.ws_lines) * CACHE_LINE;

@@ -29,6 +29,7 @@
 //! assert_eq!(pkt.miniflow().len(), 16);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

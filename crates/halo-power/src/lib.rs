@@ -26,6 +26,7 @@
 //! assert!(tcam_1mb.static_mw / halo.static_mw > 100.0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

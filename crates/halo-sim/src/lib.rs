@@ -26,6 +26,8 @@
 //!   that also runs epoch windows.
 //! * [`TextTable`] — shared result-table formatter for the experiment
 //!   harness.
+//! * [`hint::prefetch`] — a host-cache prefetch hint that changes no
+//!   simulated state; it holds the workspace's only `unsafe` block.
 //!
 //! # Examples
 //!
@@ -40,10 +42,12 @@
 //! assert_eq!(second, Cycle(68));
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
 mod cycle;
+pub mod hint;
 mod resource;
 mod rng;
 mod stats;

@@ -123,35 +123,56 @@ impl Resource {
     #[inline(never)]
     fn reserve_gap(&mut self, mut start: u64) -> u64 {
         let need = self.occupancy.0;
-        // Intervals ending at or before `start` cannot constrain the
-        // reservation (they satisfy neither the gap test nor the bump
-        // test below), so a binary search skips them wholesale.
-        let first = self.intervals.partition_point(|&(_, e)| e <= start);
-        // Walk the remaining intervals (sorted) looking for a gap.
-        let mut insert_at = self.intervals.len();
+        // Walk the intervals that can still delay the request, from the
+        // first one ending after `start`, looking for a gap.
+        let first = self.first_ending_after(start);
+        let mut at = self.intervals.len();
         for (i, &(s, e)) in self.intervals.iter().enumerate().skip(first) {
             if start + need <= s {
-                insert_at = i;
+                at = i;
                 break;
             }
-            if start < e {
-                start = e;
+            start = start.max(e);
+        }
+        let end = start + need;
+        // The new reservation lies between intervals `at - 1` and `at`,
+        // touching each at most at one end. A touched neighbour grows in
+        // place; only a reservation touching neither is inserted.
+        let joins_prev = at > 0 && self.intervals[at - 1].1 == start;
+        let joins_next = at < self.intervals.len() && self.intervals[at].0 == end;
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.intervals[at - 1].1 = self.intervals[at].1;
+                self.intervals.remove(at);
+            }
+            (true, false) => self.intervals[at - 1].1 = end,
+            (false, true) => self.intervals[at].0 = start,
+            (false, false) => {
+                self.intervals.insert(at, (start, end));
+                self.compact();
             }
         }
-        self.intervals.insert(insert_at, (start, start + need));
-        // Merge neighbours that now touch.
-        if insert_at + 1 < self.intervals.len()
-            && self.intervals[insert_at].1 >= self.intervals[insert_at + 1].0
-        {
-            let next = self.intervals.remove(insert_at + 1);
-            self.intervals[insert_at].1 = self.intervals[insert_at].1.max(next.1);
-        }
-        if insert_at > 0 && self.intervals[insert_at - 1].1 >= self.intervals[insert_at].0 {
-            let cur = self.intervals.remove(insert_at);
-            self.intervals[insert_at - 1].1 = self.intervals[insert_at - 1].1.max(cur.1);
-        }
-        self.compact();
         start
+    }
+
+    /// Index of the first interval ending after `t`. Intervals ending at
+    /// or before `t` satisfy neither the gap test nor the bump test of
+    /// [`reserve_gap`](Self::reserve_gap), so they are skipped. Out-of-
+    /// order arrivals land near the tail, so gallop back from it and
+    /// binary-search only the last bracket.
+    fn first_ending_after(&self, t: u64) -> usize {
+        let n = self.intervals.len();
+        let mut hi = n;
+        let mut step = 1;
+        while hi > 0 {
+            let lo = hi.saturating_sub(step);
+            if self.intervals[lo].1 <= t {
+                return lo + 1 + self.intervals[lo + 1..hi].partition_point(|&(_, e)| e <= t);
+            }
+            hi = lo;
+            step *= 2;
+        }
+        0
     }
 
     /// Compacts old history: requests rarely arrive far in the past.
@@ -488,6 +509,125 @@ mod tests {
         let done = r.serve(Cycle(10_000));
         assert_eq!(done, Cycle(10_001));
         assert_eq!(r.served(), 2001);
+    }
+
+    /// The interval bookkeeping of `Resource::reserve` as it was before
+    /// `reserve_gap` galloped and merged in place: a binary search for
+    /// the first interval that can delay the request, an insert, then
+    /// merge removes.
+    struct OldReserve {
+        need: u64,
+        intervals: Vec<(u64, u64)>,
+        floor: u64,
+    }
+
+    impl OldReserve {
+        fn reserve(&mut self, at: u64) -> u64 {
+            let need = self.need;
+            let mut start = at.max(self.floor);
+            match self.intervals.last_mut() {
+                Some(last) if start >= last.0 => {
+                    start = start.max(last.1);
+                    if start == last.1 {
+                        last.1 += need;
+                    } else {
+                        self.intervals.push((start, start + need));
+                        self.compact();
+                    }
+                    return start;
+                }
+                _ => {}
+            }
+            let first = self.intervals.partition_point(|&(_, e)| e <= start);
+            let mut insert_at = self.intervals.len();
+            for (i, &(s, e)) in self.intervals.iter().enumerate().skip(first) {
+                if start + need <= s {
+                    insert_at = i;
+                    break;
+                }
+                if start < e {
+                    start = e;
+                }
+            }
+            self.intervals.insert(insert_at, (start, start + need));
+            if insert_at + 1 < self.intervals.len()
+                && self.intervals[insert_at].1 >= self.intervals[insert_at + 1].0
+            {
+                let next = self.intervals.remove(insert_at + 1);
+                self.intervals[insert_at].1 = self.intervals[insert_at].1.max(next.1);
+            }
+            if insert_at > 0 && self.intervals[insert_at - 1].1 >= self.intervals[insert_at].0 {
+                let cur = self.intervals.remove(insert_at);
+                self.intervals[insert_at - 1].1 = self.intervals[insert_at - 1].1.max(cur.1);
+            }
+            self.compact();
+            start
+        }
+
+        fn compact(&mut self) {
+            if self.intervals.len() > MAX_INTERVALS {
+                let drop = self.intervals.len() - MAX_INTERVALS / 2;
+                self.floor = self.intervals[drop - 1].1;
+                self.intervals.drain(..drop);
+            }
+        }
+    }
+
+    #[test]
+    fn gap_reservations_match_the_insert_and_merge_walk() {
+        use crate::rng::SplitMix64;
+        let (mut merged_both, mut merged_prev, mut merged_next, mut compactions) = (0, 0, 0, 0);
+        for seed in 0..24u64 {
+            let mut rng = SplitMix64::new(0x6a11_0900 + seed);
+            let need = 1 + rng.below(4);
+            let latency = need + rng.below(30);
+            let mut r = Resource::new("gap", Cycles(latency), Cycles(need));
+            let mut old = OldReserve {
+                need,
+                intervals: Vec::new(),
+                floor: 0,
+            };
+            // Arrivals drift forward with out-of-order jitter, on a grid
+            // of the occupancy half the time so gaps fill exactly and
+            // reservations touch both neighbours.
+            let mut clock = 0u64;
+            for step in 0..4000 {
+                clock += rng.below(3 * need);
+                let mut at = clock.saturating_sub(rng.below(40 * need));
+                if rng.chance(0.5) {
+                    at -= at % need;
+                }
+                let before = old.intervals.clone();
+                let floor = old.floor;
+                let want = old.reserve(at);
+                let got = r.serve(Cycle(at));
+                assert_eq!(
+                    got,
+                    Cycle(want + latency),
+                    "seed {seed} step {step} at {at}"
+                );
+                assert_eq!(
+                    r.intervals, old.intervals,
+                    "seed {seed} step {step} at {at}"
+                );
+                assert_eq!(r.floor, old.floor, "seed {seed} step {step}");
+                // Classify the gap-path steps by what they did to the list.
+                let gap_path = before.last().is_some_and(|l| at.max(floor) < l.0);
+                if old.floor != floor {
+                    compactions += 1;
+                } else if gap_path && old.intervals.len() + 1 == before.len() {
+                    merged_both += 1;
+                } else if gap_path && old.intervals.len() == before.len() {
+                    let pairs = || before.iter().zip(&old.intervals);
+                    merged_prev += usize::from(pairs().any(|(b, o)| b.0 == o.0 && b.1 < o.1));
+                    merged_next += usize::from(pairs().any(|(b, o)| o.0 < b.0));
+                }
+            }
+        }
+        assert!(compactions > 0, "no compaction");
+        assert!(merged_both > 0, "no two-sided merge");
+        assert!(merged_prev > 0, "no merge into the previous interval");
+        assert!(merged_next > 0, "no merge into the next interval");
     }
 
     #[test]

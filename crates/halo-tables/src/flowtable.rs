@@ -14,6 +14,7 @@
 use crate::cuckoo::{CuckooTable, TableFullError};
 use crate::cuckoo_pp::CuckooPlusPlusTable;
 use crate::emoma::EmomaTable;
+use crate::hash::bucket_pair;
 use crate::key::FlowKey;
 use crate::sfh::SfhTable;
 use crate::trace::LookupTrace;
@@ -84,6 +85,12 @@ pub trait FlowTable: std::fmt::Debug {
     /// (§3.4); backends without a software lock ignore the flag.
     fn lookup_traced(&self, mem: &SimMemory, key: &FlowKey, software_locking: bool) -> LookupTrace;
 
+    /// Hints the host bytes a lookup of `key` will read first, so a
+    /// caller that knows its next lookups can overlap their host cache
+    /// misses. Changes no table or simulated state; backends without a
+    /// cheap way to name those bytes keep the no-op default.
+    fn prefetch(&self, _mem: &SimMemory, _key: &FlowKey) {}
+
     /// Addresses an ideal prefetcher would warm for this table. Empty
     /// for tables outside simulated memory.
     fn warm_lines(&self) -> Vec<Addr>;
@@ -123,6 +130,14 @@ impl FlowTable for CuckooTable {
 
     fn lookup_traced(&self, mem: &SimMemory, key: &FlowKey, software_locking: bool) -> LookupTrace {
         CuckooTable::lookup_traced(self, mem, key, software_locking)
+    }
+
+    /// Hints both candidate buckets of `key`.
+    fn prefetch(&self, mem: &SimMemory, key: &FlowKey) {
+        let meta = self.meta();
+        let (b1, b2) = bucket_pair(key, meta.buckets);
+        mem.prefetch(meta.bucket_addr(b1));
+        mem.prefetch(meta.bucket_addr(b2));
     }
 
     fn warm_lines(&self) -> Vec<Addr> {

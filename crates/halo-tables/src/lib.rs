@@ -31,6 +31,7 @@
 //! assert!(trace.memory_steps() >= 2); // meta + bucket (+ kv)
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

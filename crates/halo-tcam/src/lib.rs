@@ -23,6 +23,7 @@
 //! assert_eq!(tcam.lookup(&[0x0b, 1, 2, 3]), None);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

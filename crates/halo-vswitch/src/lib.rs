@@ -26,6 +26,7 @@
 //! assert!(vs.breakdown().total().0 > 0);
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

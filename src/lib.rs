@@ -59,6 +59,7 @@
 //! assert!(done > Cycle(0));
 //! ```
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use halo_accel as accel;
