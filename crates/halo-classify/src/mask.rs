@@ -95,6 +95,7 @@ impl WildcardMask {
     /// # Panics
     ///
     /// Panics if `key` is shorter than the mask.
+    #[inline]
     #[must_use]
     pub fn apply(&self, key: &FlowKey) -> FlowKey {
         key.masked(&self.bytes)

@@ -337,15 +337,21 @@ impl<T: FlowTable> TupleSpace<T> {
         let mut probes = Vec::with_capacity(self.tuples.len());
         let mut best: Option<RuleMatch> = None;
         // Staged walk: hint tuple i + WALK_AHEAD's buckets while tuple
-        // i is probed, so their host cache misses overlap.
-        for ahead in self.tuples.iter().take(WALK_AHEAD) {
-            ahead.table.prefetch(mem, &ahead.mask.apply(key));
+        // i is probed, so their host cache misses overlap. Each tuple's
+        // masked key waits in slot `i % WALK_AHEAD` from its hint to its
+        // probe, so the key is masked once per tuple.
+        let mut staged = [*key; WALK_AHEAD];
+        for (slot, ahead) in staged.iter_mut().zip(&self.tuples) {
+            *slot = ahead.mask.apply(key);
+            ahead.table.prefetch(mem, slot);
         }
         for (i, tuple) in self.tuples.iter().enumerate() {
+            let slot = &mut staged[i % WALK_AHEAD];
+            let masked = *slot;
             if let Some(ahead) = self.tuples.get(i + WALK_AHEAD) {
-                ahead.table.prefetch(mem, &ahead.mask.apply(key));
+                *slot = ahead.mask.apply(key);
+                ahead.table.prefetch(mem, slot);
             }
-            let masked = tuple.mask.apply(key);
             let tr = tuple.table.lookup_traced(mem, &masked, software_locking);
             let result = tr.result;
             probes.push((i, tr));

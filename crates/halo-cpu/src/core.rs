@@ -31,6 +31,7 @@ pub struct MemProfile {
 }
 
 impl MemProfile {
+    #[inline]
     fn note(&mut self, level: HitLevel, excess: Cycles, l1_lat: Cycles) {
         match level {
             HitLevel::L1 => self.l1 += 1,
@@ -257,6 +258,7 @@ impl CoreModel {
     /// completion. Each member takes the per-uop recurrence with no
     /// dataflow dependencies and no load/store queue: ready at
     /// `max(pace_m, completion[m - rob])`.
+    #[inline]
     fn run_filler(&mut self, first: usize, count: usize, latency: u64, pace: &mut Pacer) -> Cycle {
         let rob = self.rob;
         let lat = Cycles(latency);

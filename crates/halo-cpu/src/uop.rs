@@ -119,6 +119,7 @@ impl Program {
         self.label
     }
 
+    #[inline]
     fn push(&mut self, kind: UopKind, deps: &[UopId]) -> UopId {
         let id = self.len as UopId;
         for &d in deps {
@@ -137,6 +138,7 @@ impl Program {
     }
 
     /// Appends a compute uop.
+    #[inline]
     pub fn compute(&mut self, latency: u64, deps: &[UopId]) -> UopId {
         self.push(UopKind::Compute { latency }, deps)
     }
@@ -151,6 +153,7 @@ impl Program {
     /// # Panics
     ///
     /// Panics if `count` does not fit in a `u32`.
+    #[inline]
     pub fn compute_run(&mut self, latency: u64, count: usize) {
         if count == 0 {
             return;
@@ -166,11 +169,13 @@ impl Program {
     }
 
     /// Appends a load uop.
+    #[inline]
     pub fn load(&mut self, addr: Addr, deps: &[UopId]) -> UopId {
         self.push(UopKind::Load { addr }, deps)
     }
 
     /// Appends a store uop.
+    #[inline]
     pub fn store(&mut self, addr: Addr, deps: &[UopId]) -> UopId {
         self.push(UopKind::Store { addr }, deps)
     }
@@ -210,6 +215,7 @@ impl Program {
     }
 
     /// The dependencies of `entry`, which must belong to this program.
+    #[inline]
     pub(crate) fn deps_of(&self, entry: &Entry) -> &[UopId] {
         &self.deps[entry.dep_start as usize..entry.dep_end as usize]
     }

@@ -40,6 +40,7 @@ use crate::memory::SimMemory;
 use crate::system::{slice_hash, AccessKind, AccessOutcome, MemStatIds, MemorySystem};
 use crate::walk::{self, Hierarchy, LlcEvent, Private};
 use halo_sim::{BankedResource, Cycle, Resource, Stats};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 /// A byte-addressed backing store: the seam between table/EMC code and
@@ -94,6 +95,7 @@ pub trait MemCtx {
 }
 
 impl MemCtx for SimMemory {
+    #[inline]
     fn read_bytes(&self, addr: Addr, buf: &mut [u8]) {
         SimMemory::read_bytes(self, addr, buf);
     }
@@ -216,6 +218,7 @@ impl CoreMem for MemorySystem {
     fn config(&self) -> &MachineConfig {
         MemorySystem::config(self)
     }
+    #[inline]
     fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind, at: Cycle) -> AccessOutcome {
         MemorySystem::access(self, core, addr, kind, at)
     }
@@ -265,12 +268,13 @@ impl<'a> LlcView<'a> {
     /// Mutable overlay entry for `line`, copied from the frozen base on
     /// first touch; `None` if the line is resident nowhere.
     fn entry(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
-        if !self.overlay.contains_key(&line.0) {
-            let slice = slice_hash(line, self.slices);
-            let m = self.base[slice.0].peek(line)?.clone();
-            self.overlay.insert(line.0, m);
+        match self.overlay.entry(line.0) {
+            Entry::Occupied(e) => Some(e.into_mut()),
+            Entry::Vacant(e) => {
+                let slice = slice_hash(line, self.slices);
+                Some(e.insert(self.base[slice.0].peek(line)?.clone()))
+            }
         }
-        self.overlay.get_mut(&line.0)
     }
 }
 
@@ -425,6 +429,7 @@ impl<'a> CoreMem for EpochCore<'a> {
     fn config(&self) -> &MachineConfig {
         self.cfg
     }
+    #[inline]
     fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind, at: Cycle) -> AccessOutcome {
         walk::access(self, core, addr, kind, at)
     }

@@ -137,6 +137,7 @@ impl SimMemory {
     /// Pages never written read as zeros without being materialized, so
     /// read-only probes (and concurrent epoch-window readers) leave the
     /// page directory untouched.
+    #[inline]
     pub fn read_bytes(&self, addr: Addr, buf: &mut [u8]) {
         let mut pos = addr.0;
         let mut done = 0usize;

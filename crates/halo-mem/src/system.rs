@@ -311,6 +311,7 @@ impl MemorySystem {
     /// # Panics
     ///
     /// Panics if `core` is out of range.
+    #[inline]
     pub fn access(
         &mut self,
         core: CoreId,
@@ -382,6 +383,7 @@ impl MemorySystem {
     /// Performs a timed access issued by the accelerator attached to
     /// `slice`'s CHA. Near-cache accesses to the local slice skip the
     /// core-side interconnect round trip entirely.
+    #[inline]
     pub fn accel_access(
         &mut self,
         from: SliceId,
@@ -487,6 +489,7 @@ impl MemorySystem {
     /// LLC therefore holds nothing, just as an LLC eviction drops the
     /// lock of its victim. The accelerator locks the lines its query has
     /// just touched, so such a line is normally still resident.
+    #[inline]
     pub fn hw_lock(&mut self, line: LineAddr, until: Cycle) {
         let slice = self.home_slice(line);
         self.llc[slice.0].lock(line, until);
@@ -535,14 +538,28 @@ impl MemorySystem {
     /// containing `addr` directly into the LLC (Intel Data Direct I/O),
     /// invalidating any stale private-cache copies. Untimed: DMA happens
     /// off the critical path.
+    ///
+    /// Only the directory's sharers are probed: the cores holding a line
+    /// are a subset of its sharers (see `handle_llc_eviction`), and a
+    /// line absent from the LLC is held by no core, by inclusion.
     pub fn dma_write(&mut self, addr: Addr) {
         let line = addr.line();
-        for c in 0..self.cfg.cores {
+        let slice = self.home_slice(line);
+        let resident = self.llc[slice.0].peek(line).map(|m| m.sharers);
+        let sharers = resident.unwrap_or(0);
+        debug_assert!(
+            (0..self.cfg.cores).all(|c| sharers & (1 << c) != 0
+                || (self.l1d[c].peek(line).is_none() && self.l2[c].peek(line).is_none())),
+            "DMA line {line} held by a core outside its sharers {sharers:#b}"
+        );
+        let mut rest = sharers;
+        while rest != 0 {
+            let c = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
             self.l1d[c].invalidate(line);
             self.l2[c].invalidate(line);
         }
-        let slice = self.home_slice(line);
-        if self.llc[slice.0].peek(line).is_none() {
+        if resident.is_none() {
             self.llc_install_untracked(slice, line);
         }
         if let Some(meta) = self.llc[slice.0].peek_mut(line) {
@@ -966,15 +983,24 @@ mod tests {
     fn dma_write_places_line_in_llc_and_invalidates_private() {
         let mut s = sys();
         let a = s.data_mut().alloc_lines(64);
-        // Core 0 caches the line privately.
-        let r = s.access(CoreId(0), a, AccessKind::Load, Cycle(0));
-        assert!(s.in_l1(CoreId(0), a));
+        // Cores 0 and 1 cache the line privately, in L1 and L2.
+        let holders = [CoreId(0), CoreId(1)];
+        for c in holders {
+            s.access(c, a, AccessKind::Load, Cycle(0));
+            assert!(s.in_l1(c, a));
+            assert!(s.l2[c.0].peek(a.line()).is_some());
+        }
         // NIC delivers fresh packet data.
         s.dma_write(a);
-        assert!(!s.in_l1(CoreId(0), a), "stale private copy must go");
+        for c in holders {
+            assert!(!s.in_l1(c, a), "stale L1 copy of {c:?} must go");
+            assert!(
+                s.l2[c.0].peek(a.line()).is_none(),
+                "stale L2 copy of {c:?} must go"
+            );
+        }
         assert!(s.in_llc(a), "DDIO places the line in the LLC");
         assert_eq!(s.stats().counter("dma.write"), 1);
-        let _ = r;
     }
 
     #[test]

@@ -37,6 +37,7 @@ impl Cycle {
     pub const ZERO: Cycle = Cycle(0);
 
     /// Returns the later of two points in time.
+    #[inline]
     #[must_use]
     pub fn max(self, other: Cycle) -> Cycle {
         Cycle(self.0.max(other.0))

@@ -8,9 +8,6 @@
 //! Pipelined units have occupancy < latency; unpipelined ones have
 //! occupancy == latency.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use crate::cycle::{Cycle, Cycles};
 
 /// A single-server, in-order resource with configurable initiation
@@ -324,11 +321,16 @@ impl BankedResource {
 #[derive(Debug, Clone)]
 pub struct OutstandingWindow {
     capacity: usize,
-    /// Completion times of in-flight operations, earliest on top. Only
-    /// the multiset of times matters to [`acquire`](Self::acquire) and
-    /// [`drain_time`](Self::drain_time), so a heap answers both
-    /// exactly while expiring and stalling in O(log n).
-    inflight: BinaryHeap<Reverse<Cycle>>,
+    /// Completion times of in-flight operations in ascending order: the
+    /// `len` slots from `head` of a power-of-two ring. Only the multiset
+    /// of times matters to [`acquire`](Self::acquire) and
+    /// [`drain_time`](Self::drain_time), so keeping it sorted answers
+    /// both exactly: the earliest is the front, the latest the tail.
+    ring: Box<[Cycle]>,
+    /// `ring.len() - 1`.
+    mask: usize,
+    head: usize,
+    len: usize,
     stalls: u64,
 }
 
@@ -341,42 +343,82 @@ impl OutstandingWindow {
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "zero-capacity window");
+        let slots = capacity.next_power_of_two();
         OutstandingWindow {
             capacity,
-            inflight: BinaryHeap::with_capacity(capacity),
+            ring: vec![Cycle::ZERO; slots].into_boxed_slice(),
+            mask: slots - 1,
+            head: 0,
+            len: 0,
             stalls: 0,
         }
+    }
+
+    /// The `i`th earliest outstanding completion (`i < len`).
+    #[inline]
+    fn nth(&self, i: usize) -> Cycle {
+        self.ring[(self.head + i) & self.mask]
+    }
+
+    /// Removes and returns the earliest outstanding completion.
+    #[inline]
+    fn pop_front(&mut self) -> Cycle {
+        let c = self.ring[self.head];
+        self.head = (self.head + 1) & self.mask;
+        self.len -= 1;
+        c
     }
 
     /// Acquires a slot for an operation arriving at `at`; returns the time
     /// the slot becomes available (>= `at`). The caller must then
     /// [`commit`](Self::commit) the operation's completion time.
+    #[inline]
     pub fn acquire(&mut self, at: Cycle) -> Cycle {
         // Drop entries that completed by `at`.
-        while self.inflight.peek().is_some_and(|&Reverse(c)| c <= at) {
-            self.inflight.pop();
+        while self.len > 0 && self.nth(0) <= at {
+            self.pop_front();
         }
-        if self.inflight.len() < self.capacity {
+        if self.len < self.capacity {
             return at;
         }
         // Must wait for the earliest completion (later than `at`, since
         // everything up to `at` was just dropped).
-        let Reverse(earliest) = self.inflight.pop().expect("window full implies non-empty");
         self.stalls += 1;
-        earliest
+        self.pop_front()
     }
 
     /// Registers the completion time of an operation whose slot was
-    /// acquired.
+    /// acquired. Completions mostly arrive in order, so the sorted
+    /// insert walks back from the tail and usually stops at once.
+    #[inline]
     pub fn commit(&mut self, completes_at: Cycle) {
-        self.inflight.push(Reverse(completes_at));
+        debug_assert!(
+            self.len < self.capacity,
+            "commit without an acquired slot: window of {} already holds {}",
+            self.capacity,
+            self.len
+        );
+        let mut i = self.len;
+        while i > 0 {
+            let prev = self.nth(i - 1);
+            if prev <= completes_at {
+                break;
+            }
+            self.ring[(self.head + i) & self.mask] = prev;
+            i -= 1;
+        }
+        self.ring[(self.head + i) & self.mask] = completes_at;
+        self.len += 1;
     }
 
     /// The completion time of the last outstanding operation, i.e. when
     /// the window fully drains (`at` if already empty).
     #[must_use]
     pub fn drain_time(&self, at: Cycle) -> Cycle {
-        self.inflight.iter().fold(at, |m, &Reverse(c)| m.max(c))
+        match self.len {
+            0 => at,
+            n => at.max(self.nth(n - 1)),
+        }
     }
 
     /// Number of times acquisition had to wait for a completion.
@@ -393,7 +435,8 @@ impl OutstandingWindow {
 
     /// Clears all in-flight state.
     pub fn reset(&mut self) {
-        self.inflight.clear();
+        self.head = 0;
+        self.len = 0;
         self.stalls = 0;
     }
 }

@@ -8,6 +8,7 @@ use crate::key::FlowKey;
 
 /// A 64-bit key hash parameterized by a seed (distinct seeds give the
 /// two independent cuckoo hash functions).
+#[inline]
 #[must_use]
 pub fn hash_key(key: &FlowKey, seed: u64) -> u64 {
     let mut h = seed ^ 0x51_7C_C1_B7_27_22_0A_95;

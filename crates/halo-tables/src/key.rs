@@ -98,6 +98,7 @@ impl FlowKey {
     }
 
     /// The key bytes.
+    #[inline]
     #[must_use]
     pub fn as_bytes(&self) -> &[u8] {
         &self.bytes[..self.len as usize]
@@ -110,6 +111,7 @@ impl FlowKey {
     /// # Panics
     ///
     /// Panics if `mask` is shorter than the key.
+    #[inline]
     #[must_use]
     pub fn masked(&self, mask: &[u8]) -> FlowKey {
         assert!(mask.len() >= self.len(), "mask shorter than key");

@@ -436,30 +436,52 @@ impl RefWindow {
     }
 }
 
-/// `OutstandingWindow` (a min-heap of completion times) agrees with a
-/// `Vec` + `retain` window on every acquisition, the stall count and
+/// `OutstandingWindow` (a sorted ring of completion times) agrees with
+/// a `Vec` + `retain` window on every acquisition, the stall count and
 /// the drain time, with arrivals that mostly advance but sometimes step
-/// back, and completion times that tie, expire early, or run long.
+/// back, and completion times that tie, expire early, run long, land
+/// before every outstanding one (front insertion) or tie the earliest.
+/// The first cases pin the capacities at the ring's edges: 1, 2, a
+/// power of two, one between powers of two, and 32.
 #[test]
 fn outstanding_window_matches_reference() {
-    for mut rng in case_rngs("properties.window_differential") {
-        let capacity = 1 + rng.below(20) as usize;
+    const PINNED: [usize; 5] = [1, 2, 16, 20, 32];
+    for (case, mut rng) in case_rngs("properties.window_differential").enumerate() {
+        let capacity = PINNED
+            .get(case)
+            .copied()
+            .unwrap_or_else(|| 1 + rng.below(32) as usize);
         let mut w = OutstandingWindow::new(capacity);
         let mut model = RefWindow {
             capacity,
             inflight: Vec::new(),
             stalls: 0,
         };
+        let (mut fronts, mut ties) = (0u32, 0u32);
+        // Rarer jumps for wider windows, so every capacity fills up.
+        let jumps = 8 * capacity as u64;
         let mut t = 0u64;
         for step in 0..2000 {
-            t = match rng.below(8) {
+            t = match rng.below(jumps) {
                 0 => t.saturating_sub(rng.below(30)),
                 1 => t + rng.below(200),
                 _ => t + rng.below(3),
             };
             let issue = w.acquire(Cycle(t));
             assert_eq!(issue, Cycle(model.acquire(t)), "step {step}: at {t}");
-            let done = issue.0 + [1, 4, 14, 60, 250][rng.below(5) as usize];
+            // Everything still outstanding completes after `issue`.
+            let earliest = model.inflight.iter().copied().min();
+            let done = match (rng.below(8), earliest) {
+                (0, Some(e)) if e > issue.0 => {
+                    fronts += 1;
+                    issue.0 + rng.below(e - issue.0)
+                }
+                (1, Some(e)) => {
+                    ties += 1;
+                    e
+                }
+                _ => issue.0 + [1, 4, 14, 60, 250][rng.below(5) as usize],
+            };
             w.commit(Cycle(done));
             model.inflight.push(done);
             assert_eq!(w.stalls(), model.stalls);
@@ -467,6 +489,10 @@ fn outstanding_window_matches_reference() {
             assert_eq!(w.drain_time(Cycle(probe)), Cycle(model.drain_time(probe)));
         }
         assert!(model.stalls > 0, "capacity {capacity} never stalled");
+        assert!(
+            capacity == 1 || (fronts > 0 && ties > 0),
+            "capacity {capacity}: {fronts} front insertions, {ties} ties"
+        );
     }
 }
 
