@@ -47,6 +47,8 @@ fn violation(invariant: &'static str, detail: String) -> Violation {
 ///   clean private eviction does not notify the LLC), so the check is
 ///   holders ⊆ sharers, never equality.
 /// * **single-owner** — at most one core holds a line Modified.
+/// * **modified-llc** — a line Modified in a core's L1 or L2 is
+///   Modified in the LLC too, with that core in its sharer mask.
 /// * **lock-expired** — no lock is held past its release cycle; call
 ///   [`MemorySystem::hw_unlock_expired`] with `now` before auditing.
 ///   The lock and its release cycle live in the line's LLC way, so a
@@ -62,7 +64,7 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
     // LLC pass: placement, expired locks, and a residency/directory
     // index for the private-cache pass (built once; everything after is
     // O(1) probes).
-    let mut llc: HashMap<LineAddr, (usize, u64)> = HashMap::new();
+    let mut llc: HashMap<LineAddr, (usize, u16, LineState)> = HashMap::new();
     for s in 0..cfg.slices {
         for (line, m) in sys.llc_slice_lines(SliceId(s)) {
             let home = sys.home_slice(line);
@@ -72,7 +74,7 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
                     format!("line {line:?} resident in slice {s}, homed on {}", home.0),
                 ));
             }
-            if let Some((prev, _)) = llc.insert(line, (s, m.sharers)) {
+            if let Some((prev, ..)) = llc.insert(line, (s, m.sharers, m.state)) {
                 out.push(violation(
                     "placement",
                     format!("line {line:?} resident in slices {prev} and {s}"),
@@ -87,7 +89,8 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
         }
     }
 
-    // Private-cache pass: inclusion, directory, single-owner.
+    // Private-cache pass: inclusion, directory, single-owner,
+    // modified-llc.
     let mut owner: HashMap<LineAddr, usize> = HashMap::new();
     for c in 0..cfg.cores {
         let core = halo_mem::CoreId(c);
@@ -101,11 +104,23 @@ pub fn audit_system(sys: &MemorySystem, now: Cycle) -> Vec<Violation> {
                     "inclusion",
                     format!("core {c} {level} holds {line:?} absent from the LLC"),
                 )),
-                Some(&(_, sharers)) => {
-                    if sharers & (1 << c) == 0 {
+                Some(&(_, sharers, llc_state)) => {
+                    let sharer = sharers & (1 << c) != 0;
+                    if !sharer {
                         out.push(violation(
                             "directory",
                             format!("core {c} {level} holds {line:?} without its sharer bit"),
+                        ));
+                    }
+                    if m.state == LineState::Modified
+                        && (llc_state != LineState::Modified || !sharer)
+                    {
+                        out.push(violation(
+                            "modified-llc",
+                            format!(
+                                "core {c} {level} holds {line:?} Modified, LLC has it \
+                                 {llc_state:?} with sharers {sharers:#b}"
+                            ),
                         ));
                     }
                 }

@@ -14,6 +14,10 @@
 //! probe path therefore touches the minimum number of host cache lines
 //! and carries no `Option` branching — the same discipline the paper's
 //! bucket layouts apply to the simulated machine.
+//!
+//! Both arrays are allocated on the first fill, so the private caches
+//! of cores a run never drives cost no host memory; until then every
+//! probe misses.
 
 use crate::addr::LineAddr;
 use crate::config::CacheGeometry;
@@ -36,28 +40,31 @@ pub enum LineState {
 /// Metadata for one cached line. The line's address lives in the tag
 /// array; iterate with [`CacheArray::iter_lines`] to see it.
 ///
-/// Aligned to its size, so one way's metadata never straddles two host
-/// cache lines.
+/// Sixteen bytes aligned to its size, so four ways' metadata share one
+/// host cache line and none straddles two.
 #[derive(Debug, Clone)]
-#[repr(align(32))]
+#[repr(align(16))]
 pub struct LineMeta {
     /// Release cycle of the HALO hardware lock; meaningful only while
     /// `locked`.
     lock_until: Cycle,
+    /// LRU stamp: larger is more recent. Stamps are compared only
+    /// within one set, which lets the array renumber them before its
+    /// tick overflows (DESIGN.md §9 item 9).
+    pub lru: u32,
+    /// Bitmask of cores holding the line (LLC directory only). Sixteen
+    /// bits, so a machine has at most 16 cores.
+    pub sharers: u16,
     /// Coherence state.
     pub state: LineState,
-    /// LRU timestamp (monotonic per array).
-    pub lru: u64,
-    /// Bitmask of cores holding the line (LLC directory only).
-    pub sharers: u64,
     /// HALO hardware lock bit (LLC only): set while an accelerator query
     /// holds the line; modifications are refused until cleared.
     locked: bool,
 }
 
-// 524k LLC ways carry one of these each; a larger meta shows up
-// directly in the simulator's resident memory.
-const _: () = assert!(std::mem::size_of::<LineMeta>() == 32);
+// 795k ways carry one of these each on the default machine; a larger
+// meta shows up directly in the simulator's resident memory.
+const _: () = assert!(std::mem::size_of::<LineMeta>() == 16);
 
 impl LineMeta {
     /// Placeholder stored behind invalid tags.
@@ -66,12 +73,12 @@ impl LineMeta {
     }
 
     /// Metadata of a freshly filled, unlocked line.
-    pub(crate) fn new(state: LineState, lru: u64, sharers: u64) -> Self {
+    pub(crate) fn new(state: LineState, lru: u32, sharers: u16) -> Self {
         LineMeta {
             lock_until: Cycle(0),
-            state,
             lru,
             sharers,
+            state,
             locked: false,
         }
     }
@@ -117,8 +124,9 @@ const TAG_ALIGN: usize = 16;
 /// and an 8-way set one rather than two. The allocator places large
 /// vectors 16 bytes past a page boundary, so the buffer carries a few
 /// tags of slack and the array starts at the first aligned one. Derefs
-/// to the `len` tags proper.
-#[derive(Debug)]
+/// to the `len` tags proper; the default is the empty, unallocated
+/// array.
+#[derive(Debug, Default)]
 struct Tags {
     buf: Vec<u64>,
     off: usize,
@@ -136,6 +144,9 @@ impl Tags {
 
 impl Clone for Tags {
     fn clone(&self) -> Self {
+        if self.len == 0 {
+            return Tags::default();
+        }
         // A fresh buffer has its own alignment, so re-derive the offset.
         let mut t = Tags::new(self.len);
         t.copy_from_slice(self);
@@ -159,15 +170,22 @@ impl std::ops::DerefMut for Tags {
 }
 
 /// A set-associative array with strict-LRU replacement.
+///
+/// LRU stamps are `u32`. Before the tick would pass `u32::MAX`, every
+/// set's valid ways are renumbered `1..=k` in stamp order and the tick
+/// restarts from the largest new stamp, which leaves every later victim
+/// choice unchanged (DESIGN.md §9 item 9).
 #[derive(Debug, Clone)]
 pub struct CacheArray {
     sets: usize,
     ways: usize,
     /// `sets * ways` tags; [`TAG_INVALID`] = invalid way. Probed first.
+    /// Empty until the first [`insert`](Self::insert).
     tags: Tags,
     /// Parallel per-way metadata; meaningful only where the tag is valid.
+    /// Empty until the first insert, like `tags`.
     meta: Vec<LineMeta>,
-    tick: u64,
+    tick: u32,
     hits: u64,
     misses: u64,
     /// Live count of valid ways (kept in sync by insert/invalidate/clear
@@ -179,22 +197,27 @@ pub struct CacheArray {
 }
 
 impl CacheArray {
-    /// Builds an empty array from a geometry.
+    /// Builds an empty array from a geometry. No tag or metadata storage
+    /// is allocated until the first [`insert`](Self::insert).
     #[must_use]
     pub fn new(geom: CacheGeometry) -> Self {
-        let sets = geom.sets();
-        let slots = sets * geom.ways;
         CacheArray {
-            sets,
+            sets: geom.sets(),
             ways: geom.ways,
-            tags: Tags::new(slots),
-            meta: vec![LineMeta::invalid(); slots],
+            tags: Tags::default(),
+            meta: Vec::new(),
             tick: 0,
             hits: 0,
             misses: 0,
             resident: 0,
             locked: 0,
         }
+    }
+
+    /// Whether the tag and metadata storage exists yet.
+    #[cfg(test)]
+    pub(crate) fn is_allocated(&self) -> bool {
+        !self.meta.is_empty()
     }
 
     fn set_index(&self, line: LineAddr) -> usize {
@@ -209,27 +232,79 @@ impl CacheArray {
         s * self.ways..(s + 1) * self.ways
     }
 
-    /// Scans one set's tags for `line`, returning the way index.
+    /// Scans one set's tags for `line`, returning the way index. An
+    /// array not yet allocated has no tags, so the set is absent and
+    /// the probe misses.
     #[inline]
     fn find(&self, line: LineAddr) -> Option<usize> {
         let range = self.set_range(line);
-        self.tags[range.clone()]
+        self.tags
+            .get(range.clone())?
             .iter()
             .position(|&t| t == line.0)
             .map(|w| range.start + w)
     }
 
+    /// Advances the LRU tick, renumbering first if it would overflow.
+    #[inline]
+    fn next_tick(&mut self) -> u32 {
+        if self.tick == u32::MAX {
+            self.renumber();
+        }
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Renumbers each set's valid ways `1..=k` in their current stamp
+    /// order and restarts the tick from the largest new stamp. Exact:
+    /// victim choice compares stamps only within one set, valid stamps
+    /// are unique, and every later stamp exceeds every renumbered one.
+    #[cold]
+    fn renumber(&mut self) {
+        let mut top = 0;
+        let mut order = Vec::with_capacity(self.ways);
+        for (tags, meta) in self
+            .tags
+            .chunks(self.ways)
+            .zip(self.meta.chunks_mut(self.ways))
+        {
+            order.clear();
+            order.extend((0..self.ways).filter(|&w| tags[w] != TAG_INVALID));
+            order.sort_unstable_by_key(|&w| meta[w].lru);
+            for (stamp, &w) in (1..).zip(&order) {
+                meta[w].lru = stamp;
+            }
+            top = top.max(order.len());
+        }
+        self.tick = u32::try_from(top).expect("set wider than u32 stamps");
+    }
+
+    /// Allocates the tag and metadata storage, all ways invalid.
+    #[cold]
+    fn allocate(&mut self) {
+        let slots = self.capacity_lines();
+        self.tags = Tags::new(slots);
+        self.meta = vec![LineMeta::invalid(); slots];
+    }
+
     /// Looks up `line`, updating LRU and hit/miss counters. Returns a
     /// mutable reference to the line's metadata on hit.
     pub fn lookup(&mut self, line: LineAddr) -> Option<&mut LineMeta> {
-        self.tick += 1;
-        let tick = self.tick;
+        let i = self.lookup_way(line)?;
+        Some(&mut self.meta[i])
+    }
+
+    /// [`lookup`](Self::lookup), returning the way that holds `line` so
+    /// a caller can update its metadata later through
+    /// [`way_mut`](Self::way_mut) without scanning the set again.
+    #[inline]
+    pub(crate) fn lookup_way(&mut self, line: LineAddr) -> Option<usize> {
+        let tick = self.next_tick();
         match self.find(line) {
             Some(i) => {
                 self.hits += 1;
-                let meta = &mut self.meta[i];
-                meta.lru = tick;
-                Some(meta)
+                self.meta[i].lru = tick;
+                Some(i)
             }
             None => {
                 self.misses += 1;
@@ -238,11 +313,22 @@ impl CacheArray {
         }
     }
 
+    /// The metadata of `way`, which must still hold `line` (no insert or
+    /// invalidate of this array since [`lookup_way`](Self::lookup_way)
+    /// resolved it).
+    #[inline]
+    pub(crate) fn way_mut(&mut self, way: usize, line: LineAddr) -> &mut LineMeta {
+        debug_assert_eq!(self.tags[way], line.0, "way {way} no longer holds {line}");
+        &mut self.meta[way]
+    }
+
     /// Hints the host lines of the tag set `line` maps to, ahead of a
     /// probe of `line`. Touches no LRU state, counter or line.
     #[inline]
     pub(crate) fn prefetch_set(&self, line: LineAddr) {
-        let set = &self.tags[self.set_range(line)];
+        let Some(set) = self.tags.get(self.set_range(line)) else {
+            return;
+        };
         for tags in set.chunks(HOST_LINE_TAGS) {
             hint::prefetch(&tags[0]);
         }
@@ -275,8 +361,10 @@ impl CacheArray {
     pub fn insert(&mut self, line: LineAddr, state: LineState) -> Eviction {
         debug_assert!(self.peek(line).is_none(), "double insert of {line}");
         debug_assert!(line.0 != TAG_INVALID, "line collides with the invalid tag");
-        self.tick += 1;
-        let tick = self.tick;
+        if self.meta.is_empty() {
+            self.allocate();
+        }
+        let tick = self.next_tick();
         let range = self.set_range(line);
         let meta = LineMeta::new(state, tick, 0);
         // One pass over the set: take the first free way, tracking the
@@ -285,8 +373,8 @@ impl CacheArray {
         // tie-break of the old min_by_key scan).
         let mut victim_unlocked: Option<usize> = None;
         let mut victim_any = range.start;
-        let mut best_unlocked = u64::MAX;
-        let mut best_any = u64::MAX;
+        let mut best_unlocked = u32::MAX;
+        let mut best_any = u32::MAX;
         for i in range {
             if self.tags[i] == TAG_INVALID {
                 self.tags[i] = line.0;
@@ -310,7 +398,7 @@ impl CacheArray {
         let line = LineAddr(std::mem::replace(&mut self.tags[victim], line.0));
         let old = std::mem::replace(&mut self.meta[victim], meta);
         self.locked -= usize::from(old.locked);
-        let sharers = old.sharers;
+        let sharers = u64::from(old.sharers);
         match old.state {
             LineState::Modified => Eviction::Dirty { line, sharers },
             LineState::Shared => Eviction::Clean { line, sharers },
@@ -434,6 +522,9 @@ impl CacheArray {
         self.locked = 0;
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -730,10 +821,11 @@ mod tests {
     #[test]
     fn tag_sets_start_on_host_line_boundaries() {
         for ways in [4, 8, 16] {
-            let c = CacheArray::new(CacheGeometry {
+            let mut c = CacheArray::new(CacheGeometry {
                 capacity: 64 * 64 * ways as u64,
                 ways,
             });
+            c.insert(LineAddr(1), LineState::Shared);
             for arr in [c.clone(), c] {
                 let set_bytes = ways * std::mem::size_of::<u64>();
                 assert_eq!(
@@ -741,9 +833,61 @@ mod tests {
                     0,
                     "{ways} ways"
                 );
-                assert_eq!(arr.meta.as_ptr().addr() % 32, 0);
+                assert_eq!(arr.meta.as_ptr().addr() % 16, 0);
                 assert_eq!(arr.tags.len(), arr.capacity_lines());
             }
         }
+    }
+
+    #[test]
+    fn storage_is_allocated_on_first_fill() {
+        let mut c = tiny();
+        let fresh = c.clone();
+        assert!(!c.is_allocated());
+        // Every read of an unallocated array misses or yields nothing.
+        assert!(c.lookup(LineAddr(5)).is_none());
+        assert!(c.peek(LineAddr(5)).is_none());
+        assert!(c.peek_mut(LineAddr(5)).is_none());
+        assert!(c.invalidate(LineAddr(5)).is_none());
+        assert_eq!(c.release_expired(LineAddr(5), Cycle(0)), None);
+        c.lock(LineAddr(5), Cycle(9));
+        c.prefetch_set(LineAddr(5));
+        c.prefetch_way(LineAddr(5));
+        c.unlock_expired(Cycle(10));
+        c.clear();
+        assert_eq!(c.iter_lines().count(), 0);
+        assert_eq!(
+            (c.resident(), c.locked_lines(), c.capacity_lines()),
+            (0, 0, 4)
+        );
+        assert!(!c.is_allocated(), "reads must not allocate");
+        assert!(!fresh.is_allocated(), "a clone stays unallocated");
+        c.insert(LineAddr(5), LineState::Shared);
+        assert!(c.is_allocated());
+        assert!(c.peek(LineAddr(5)).is_some());
+    }
+
+    #[test]
+    fn renumbering_keeps_the_lru_victim() {
+        let mut c = tiny();
+        let (a, b, d) = same_set_lines(&c);
+        c.tick = u32::MAX - 3;
+        c.insert(a, LineState::Shared);
+        c.insert(b, LineState::Shared);
+        // Touch `a` with the last stamp below the wrap, so `b` is LRU.
+        assert!(c.lookup(a).is_some());
+        assert_eq!(c.peek(a).unwrap().lru, u32::MAX);
+        let ev = c.insert(d, LineState::Shared);
+        assert_eq!(
+            ev,
+            Eviction::Clean {
+                line: b,
+                sharers: 0
+            }
+        );
+        // The insert renumbered `b`, `a` to 1, 2 and stamped `d` with
+        // the tick after the largest renumbered stamp.
+        assert_eq!(c.peek(a).unwrap().lru, 2);
+        assert_eq!(c.peek(d).unwrap().lru, 3);
     }
 }

@@ -35,7 +35,9 @@ impl CacheGeometry {
 /// slices, 20 MSHRs, 128/128/192 LQ/SQ/ROB entries, DDR4-2400.
 #[derive(Debug, Clone)]
 pub struct MachineConfig {
-    /// Number of cores (each with private L1D and L2).
+    /// Number of cores (each with private L1D and L2). At most 16: the
+    /// LLC directory keeps a 16-bit sharer mask per line, and
+    /// [`MemorySystem::new`](crate::MemorySystem::new) refuses more.
     pub cores: usize,
     /// Number of NUCA LLC slices (= number of CHAs = number of HALO
     /// accelerators).

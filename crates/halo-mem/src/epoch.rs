@@ -387,7 +387,7 @@ impl Hierarchy for EpochCore<'_> {
         let remote = m.state == LineState::Modified
             && m.sharers & !(1 << core.0) != 0
             && self.llc.snooped.insert(line.0);
-        Some((remote, m.sharers))
+        Some((remote, u64::from(m.sharers)))
     }
 
     /// An overlay entry with no capacity: the real install and its

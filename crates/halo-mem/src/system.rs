@@ -182,9 +182,20 @@ pub(crate) fn slice_hash(line: LineAddr, slices: usize) -> SliceId {
 }
 
 impl MemorySystem {
-    /// Builds a cold memory system for `cfg`.
+    /// Builds a cold memory system for `cfg`. Each cache array
+    /// allocates its storage on its first fill.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` has more than 16 cores: the LLC directory keeps a
+    /// 16-bit sharer mask per line.
     #[must_use]
     pub fn new(cfg: MachineConfig) -> Self {
+        assert!(
+            cfg.cores <= u16::BITS as usize,
+            "{} cores do not fit the 16-bit LLC sharer mask",
+            cfg.cores
+        );
         let l1d = (0..cfg.cores).map(|_| CacheArray::new(cfg.l1d)).collect();
         let l2 = (0..cfg.cores).map(|_| CacheArray::new(cfg.l2)).collect();
         let llc = (0..cfg.slices)
@@ -545,7 +556,7 @@ impl MemorySystem {
     pub fn dma_write(&mut self, addr: Addr) {
         let line = addr.line();
         let slice = self.home_slice(line);
-        let resident = self.llc[slice.0].peek(line).map(|m| m.sharers);
+        let resident = self.llc[slice.0].peek(line).map(|m| u64::from(m.sharers));
         let sharers = resident.unwrap_or(0);
         debug_assert!(
             (0..self.cfg.cores).all(|c| sharers & (1 << c) != 0
@@ -678,7 +689,7 @@ impl MemorySystem {
         slice: SliceId,
         line: LineAddr,
     ) -> Option<(Option<CoreId>, u64)> {
-        let sharers = self.llc[slice.0].lookup(line)?.sharers;
+        let sharers = u64::from(self.llc[slice.0].lookup(line)?.sharers);
         let modified = |m: &LineMeta| m.state == LineState::Modified;
         let dirty_owner = (0..self.cfg.cores)
             .filter(|&c| sharers & (1 << c) != 0)
@@ -1161,6 +1172,40 @@ mod tests {
         let json = s.tracer().to_chrome_trace();
         assert!(json.contains("\"name\":\"snapshot_read\""));
         assert!(json.contains("\"name\":\"accel_llc\""));
+    }
+
+    #[test]
+    fn idle_cores_never_allocate_private_arrays() {
+        let mut s = MemorySystem::new(MachineConfig::default());
+        let base = s.data_mut().alloc_lines(4096);
+        let mut t = Cycle(0);
+        for i in 0..4096u64 {
+            let kind = if i % 5 == 0 {
+                AccessKind::Store
+            } else {
+                AccessKind::Load
+            };
+            t = s
+                .access(CoreId(0), base + (i * 7 % 4096) * 64, kind, t)
+                .complete;
+            s.dma_write(base + i * 64);
+        }
+        s.force_evict(base);
+        s.flush_private(CoreId(3));
+        assert!(s.l1d[0].is_allocated() && s.l2[0].is_allocated());
+        for c in 1..s.config().cores {
+            assert!(!s.l1d[c].is_allocated(), "core {c} L1");
+            assert!(!s.l2[c].is_allocated(), "core {c} L2");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "16-bit LLC sharer mask")]
+    fn more_than_sixteen_cores_are_refused() {
+        let _ = MemorySystem::new(MachineConfig {
+            cores: 17,
+            ..MachineConfig::default()
+        });
     }
 
     #[test]

@@ -59,7 +59,7 @@ impl LlcEvent {
     /// Applies the transition to `meta`; returns the other cores whose
     /// private copies it revokes.
     pub(crate) fn apply(self, core: CoreId, meta: &mut LineMeta) -> u64 {
-        let me = 1 << core.0;
+        let me: u16 = 1 << core.0;
         match self {
             LlcEvent::Touch(_) => {
                 meta.state = LineState::Modified;
@@ -70,7 +70,7 @@ impl LlcEvent {
                 let revoked = meta.sharers & !me;
                 meta.sharers = me;
                 meta.state = LineState::Modified;
-                return revoked;
+                return u64::from(revoked);
             }
             LlcEvent::DirtyWb(_) => meta.state = LineState::Modified,
         }
@@ -141,18 +141,20 @@ pub(crate) fn access<H: Hierarchy>(
 
     let p = h.private(core);
     let t_l1 = p.l1_port.serve(line.0 as usize, at);
-    if let Some(state) = p.l1d.lookup(line).map(|m| m.state) {
+    if let Some(way) = p.l1d.lookup_way(line) {
+        let state = p.l1d.way_mut(way, line).state;
         h.count(|i| i.l1d_hit);
         let mut t = t_l1;
         if store {
             if state != LineState::Modified {
                 t = upgrade(h, core, line, t);
             }
+            // An upgrade revokes only other cores' copies, so `way`
+            // still holds the line.
             let p = h.private(core);
-            for arr in [p.l1d, p.l2] {
-                if let Some(m) = arr.peek_mut(line) {
-                    m.state = LineState::Modified;
-                }
+            p.l1d.way_mut(way, line).state = LineState::Modified;
+            if let Some(m) = p.l2.peek_mut(line) {
+                m.state = LineState::Modified;
             }
             h.transition(core, LlcEvent::Touch(line));
         }
