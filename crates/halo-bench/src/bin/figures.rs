@@ -1,7 +1,7 @@
 //! Regenerates the HALO paper's tables and figures.
 //!
 //! ```text
-//! figures [--full] [--quick] [--jobs N] [fig3|fig4|table1|fig8b|fig9|fig10|fig11|fig12|table4|fig13|scale|ablation|ablation-backends|ablation-wildcard|bench-sweep|bench-hotpath|bench-parallel|trace|all]
+//! figures [--full] [--quick] [--jobs N] [fig3|fig4|table1|fig8b|fig9|fig10|fig11|fig12|table4|fig13|scaling|scale|extensions|ablation|ablation-backends|ablation-wildcard|bench-parallel|trace|all]
 //! ```
 //!
 //! By default experiments run in "quick" mode (reduced sweep sizes,
@@ -12,13 +12,6 @@
 //! defaulting to the host's available parallelism. Results are merged
 //! in point order, so stdout is byte-identical at any jobs level;
 //! progress and timing go to stderr.
-//!
-//! `figures bench-sweep` measures one sequential and one parallel run
-//! of the ported sweeps and writes `BENCH_sweep.json`.
-//!
-//! `figures bench-hotpath [--quick]` measures simulator hot-path
-//! throughput (accesses/sec and packets/sec) and writes
-//! `BENCH_hotpath.json` — the tracked perf-trajectory datapoint.
 //!
 //! `figures bench-parallel [--quick]` times the epoch-parallel
 //! executor (`MultiCoreDatapath::run_parallel_with`) at threads=1 vs
@@ -65,8 +58,7 @@ fn main() {
         // before any sweep spawns (single-threaded here, hence safe).
         std::env::set_var(halo_sim::JOBS_ENV, n.max(1).to_string());
     }
-    const KNOWN: [&str; 20] = [
-        "bench-hotpath",
+    const KNOWN: [&str; 18] = [
         "bench-parallel",
         "trace",
         "all",
@@ -85,7 +77,6 @@ fn main() {
         "ablation-backends",
         "ablation-wildcard",
         "extensions",
-        "bench-sweep",
     ];
     let known_with_ablation = |n: &str| n == "ablation" || KNOWN.contains(&n);
     if let Some(bad) = which.iter().find(|n| !known_with_ablation(n)) {
@@ -95,34 +86,6 @@ fn main() {
             KNOWN.join(" | ")
         );
         std::process::exit(2);
-    }
-    if which.contains(&"bench-hotpath") {
-        // Quick mode (the CI smoke setting) via the dedicated flag;
-        // `--full` already being the default here, `--quick` shrinks op
-        // counts ~10x with identical profile shapes.
-        let quick = args.iter().any(|a| a == "--quick");
-        eprintln!(
-            "bench-hotpath: measuring simulator throughput ({} mode)...",
-            if quick { "quick" } else { "full" }
-        );
-        let rows = halo_bench::hotpath_bench::run(quick);
-        for r in &rows {
-            eprintln!(
-                "  {}: {} {} in {:.2}s -> {:.0} {}/s",
-                r.profile,
-                r.ops,
-                r.unit,
-                r.wall_s,
-                r.rate(),
-                r.unit
-            );
-        }
-        let json = halo_bench::hotpath_bench::to_json(&rows, quick);
-        std::fs::write("BENCH_hotpath.json", &json).expect("write BENCH_hotpath.json");
-        println!("{json}");
-        if which.len() == 1 {
-            return;
-        }
     }
     if which.contains(&"trace") {
         let quick = args.iter().any(|a| a == "--quick");
@@ -191,48 +154,6 @@ fn main() {
         }
         let json = halo_bench::parallel_bench::to_json(&rows, quick, threads);
         std::fs::write("BENCH_parallel.json", &json).expect("write BENCH_parallel.json");
-        println!("{json}");
-        if which.len() == 1 {
-            return;
-        }
-    }
-    if which.contains(&"bench-sweep") {
-        let jobs = halo_sim::default_jobs();
-        eprintln!("bench-sweep: sequential vs {jobs}-worker wall clock...");
-        let rows = halo_bench::sweep_bench::run(jobs);
-        for r in &rows {
-            eprintln!(
-                "  {}: {} points, {:.2}s -> {:.2}s ({:.2}x), identical: {}",
-                r.experiment,
-                r.points,
-                r.sequential_s,
-                r.parallel_s,
-                r.speedup(),
-                r.identical
-            );
-            assert!(r.identical, "{}: parallel output diverged", r.experiment);
-        }
-        // Speedup is only a meaningful assertion when the host can
-        // actually run workers side by side; the shared gate also
-        // checks the sweep runner really overlapped points.
-        let p = halo_sim::ParallelismReport::capture(jobs);
-        if p.can_assert_speedup(2) && p.observed >= 2 {
-            let best = rows
-                .iter()
-                .map(halo_bench::sweep_bench::SweepBenchRow::speedup)
-                .fold(0.0, f64::max);
-            assert!(
-                best > 1.05,
-                "host offers {} cores and the runner overlapped {} points, \
-                 yet the best sweep speedup was only {best:.2}x",
-                p.host,
-                p.observed
-            );
-        } else {
-            eprintln!("bench-sweep: {}", p.skip_note());
-        }
-        let json = halo_bench::sweep_bench::to_json(&rows, jobs);
-        std::fs::write("BENCH_sweep.json", &json).expect("write BENCH_sweep.json");
         println!("{json}");
         if which.len() == 1 {
             return;

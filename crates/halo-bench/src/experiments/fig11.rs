@@ -224,9 +224,9 @@ impl SweepPoint for Fig11Sweep {
     }
 }
 
-/// Runs Fig. 11 on an explicit runner (see [`run`] for the default).
+/// Runs Fig. 11 for the paper's tuple counts with default parallelism.
 #[must_use]
-pub fn run_with(quick: bool, runner: &SweepRunner) -> Vec<Fig11Point> {
+pub fn run(quick: bool) -> Vec<Fig11Point> {
     let n: u64 = if quick { 80 } else { 300 };
     let points: Vec<Fig11Sweep> = [5usize, 10, 15, 20]
         .iter()
@@ -237,13 +237,7 @@ pub fn run_with(quick: bool, runner: &SweepRunner) -> Vec<Fig11Point> {
             seed: point_seed("fig11", i as u64),
         })
         .collect();
-    runner.run(points)
-}
-
-/// Runs Fig. 11 for the paper's tuple counts with default parallelism.
-#[must_use]
-pub fn run(quick: bool) -> Vec<Fig11Point> {
-    run_with(quick, &SweepRunner::from_env("fig11"))
+    SweepRunner::from_env("fig11").run(points)
 }
 
 /// Formats the points like the paper's figure (normalized to software).

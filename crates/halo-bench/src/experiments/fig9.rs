@@ -62,9 +62,11 @@ impl SweepPoint for Fig9Point {
     }
 }
 
-/// Runs the sweep on an explicit runner (see [`run`] for the default).
+/// Runs the sweep with the default parallelism (`HALO_JOBS`, then host
+/// cores). `quick` restricts table sizes to <= 2^18 entries and fewer
+/// lookups (the full sweep reaches the paper's 2^24).
 #[must_use]
-pub fn run_with(quick: bool, runner: &SweepRunner) -> Vec<Fig9Cell> {
+pub fn run(quick: bool) -> Vec<Fig9Cell> {
     // Full mode tops out at 2^21 entries (~150 MB of table, already
     // 5x the 32 MB LLC, i.e. deep in the paper's partially-cached
     // regime); the paper's 2^24 point costs ~15M inserts per approach
@@ -95,7 +97,11 @@ pub fn run_with(quick: bool, runner: &SweepRunner) -> Vec<Fig9Cell> {
             });
         }
     }
-    runner.run(points).into_iter().flatten().collect()
+    SweepRunner::from_env("fig9")
+        .run(points)
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
 /// A tiny deterministic slice of the sweep (2^3..2^9 entries at 50%
@@ -116,14 +122,6 @@ pub fn run_small_slice(runner: &SweepRunner) -> Vec<Fig9Cell> {
         })
         .collect();
     runner.run(points).into_iter().flatten().collect()
-}
-
-/// Runs the sweep with the default parallelism (`HALO_JOBS`, then host
-/// cores). `quick` restricts table sizes to <= 2^18 entries and fewer
-/// lookups (the full sweep reaches the paper's 2^24).
-#[must_use]
-pub fn run(quick: bool) -> Vec<Fig9Cell> {
-    run_with(quick, &SweepRunner::from_env("fig9"))
 }
 
 /// Formats the sweep as a table (one row per size/occupancy, one column

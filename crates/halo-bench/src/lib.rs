@@ -24,7 +24,5 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod hotpath_bench;
 pub mod parallel_bench;
-pub mod sweep_bench;
 pub mod trace_bench;

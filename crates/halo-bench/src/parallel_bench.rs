@@ -9,7 +9,7 @@
 //! guarantee), and reports both wall-clock times as
 //! `BENCH_parallel.json`.
 //!
-//! Unlike `bench-sweep`, which overlaps *independent* simulation
+//! Unlike `figures --jobs N`, which overlaps *independent* simulation
 //! points, this benchmark parallelizes a *single* simulation: the
 //! simulated cores of one machine run on real OS threads inside
 //! bounded windows and merge at epoch barriers (DESIGN.md §13).

@@ -151,6 +151,16 @@ fn prefetch_probes(sys: &MemorySystem, probes: &[(usize, LookupTrace)], k: usize
     }
 }
 
+/// The whole machine a HALO dispatch runs on.
+///
+/// # Panics
+///
+/// Panics inside an epoch shard, which sees one core's view only.
+fn live<S: CoreMem>(sys: &mut S) -> &mut MemorySystem {
+    sys.live()
+        .expect("HALO dispatch needs the live MemorySystem, not an epoch shard")
+}
+
 /// The bucket and kv lines a lookup trace reads.
 fn table_lines(tr: &LookupTrace) -> impl Iterator<Item = Addr> + '_ {
     tr.steps.iter().filter_map(|s| match *s {
@@ -381,12 +391,12 @@ impl LookupExecutor {
     ///
     /// # Panics
     ///
-    /// Panics if a HALO backend is configured but `engine` is `None`,
-    /// or if the non-blocking backend runs without an [`NbRegion`]
-    /// large enough for `probes`.
-    pub fn search<W: WildcardTable + ?Sized>(
+    /// Panics if a HALO backend runs on an epoch shard or with `engine`
+    /// `None`, or if the non-blocking backend runs without an
+    /// [`NbRegion`] large enough for `probes`.
+    pub fn search<S: CoreMem, W: WildcardTable + ?Sized>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut S,
         engine: Option<&mut HaloEngine>,
         space: &W,
         key: &FlowKey,
@@ -402,6 +412,7 @@ impl LookupExecutor {
                 t
             }
             LookupBackend::HaloBlocking => {
+                let sys = live(sys);
                 let engine = engine.expect("HALO backend needs an engine");
                 let base_hash = hash_key(key, SEED_PRIMARY);
                 let mut t = at;
@@ -417,6 +428,7 @@ impl LookupExecutor {
                 t
             }
             LookupBackend::HaloNonBlocking => {
+                let sys = live(sys);
                 let engine = engine.expect("HALO backend needs an engine");
                 let nb = self.nb.expect("non-blocking backend needs an NbRegion");
                 // Issue every probed tuple at once (one per cycle);
@@ -568,12 +580,23 @@ impl DatapathCore {
     /// buffer the software EMC probe reloads the key from (None when
     /// the key is in registers).
     ///
+    /// Generic over the memory context: the classic sequential
+    /// [`MemorySystem`] or one epoch-window shard
+    /// ([`halo_mem::EpochCore`]). The EMC probe and promotion go through
+    /// the context's own byte store (in epoch mode the window's
+    /// copy-on-write delta, so per-core EMC updates stay private until
+    /// the barrier); the MegaFlow tables are read from
+    /// [`CoreMem::base`] — the live store, or the frozen master
+    /// snapshot, which is exact because control-plane writes only
+    /// happen between windows.
+    ///
     /// # Panics
     ///
-    /// Panics if a HALO backend is configured but `engine` is `None`.
-    pub fn classify<W: WildcardTable + ?Sized>(
+    /// Panics if a HALO backend runs on an epoch shard (accelerator
+    /// dispatch needs the whole machine) or with `engine` `None`.
+    pub fn classify<S: CoreMem, W: WildcardTable + ?Sized>(
         &mut self,
-        sys: &mut MemorySystem,
+        sys: &mut S,
         mut engine: Option<&mut HaloEngine>,
         megaflow: &W,
         key: &FlowKey,
@@ -588,6 +611,7 @@ impl DatapathCore {
             let done = match self.emc_backend {
                 LookupBackend::Software => self.exec.run_sw(sys, &trace, key_addr, t),
                 LookupBackend::HaloBlocking | LookupBackend::HaloNonBlocking => {
+                    let sys = live(sys);
                     let engine = engine.as_deref_mut().expect("HALO backend needs an engine");
                     let h = hash_key(key, SEED_PRIMARY);
                     let out = engine.dispatch(
@@ -619,86 +643,11 @@ impl DatapathCore {
         }
 
         let (m, probes) = megaflow.classify_traced(
-            sys.data_mut(),
+            sys.base(),
             key,
             self.exec.backend == LookupBackend::Software,
         );
         let done = self.exec.search(sys, engine, megaflow, key, &probes, t);
-        if let Some(hit) = &m {
-            self.promote(sys.data_mut(), key, hit.action);
-        }
-        sys.trace_span("datapath", "classify", at, done);
-        ClassifyOutcome {
-            action: m.as_ref().map(|h| h.action),
-            emc_hit: false,
-            megaflow: m,
-            emc_done,
-            megaflow_done: Some(done),
-            done,
-        }
-    }
-
-    /// Classifies one packet against any [`CoreMem`] context — the
-    /// classic sequential [`MemorySystem`] or one epoch-window shard
-    /// ([`halo_mem::EpochCore`]). Software backend only: HALO engine
-    /// dispatch mutates shared accelerator state and stays on the
-    /// classic [`Self::classify`] path.
-    ///
-    /// The EMC probe and promotion go through the context's own byte
-    /// store (the window's copy-on-write delta in epoch mode, so
-    /// per-core EMC updates stay private until the barrier); the
-    /// MegaFlow tables are read from the frozen master snapshot
-    /// ([`CoreMem::base`]) — control-plane writes only happen between
-    /// windows, so the snapshot is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either the search backend or the EMC backend is not
-    /// [`LookupBackend::Software`].
-    pub fn classify_epoch<S: CoreMem, W: WildcardTable + ?Sized>(
-        &mut self,
-        sys: &mut S,
-        megaflow: &W,
-        key: &FlowKey,
-        key_addr: Option<Addr>,
-        at: Cycle,
-    ) -> ClassifyOutcome {
-        assert_eq!(
-            self.exec.backend,
-            LookupBackend::Software,
-            "epoch classification is software-only"
-        );
-        assert_eq!(
-            self.emc_backend,
-            LookupBackend::Software,
-            "epoch classification is software-only"
-        );
-        let mut t = at;
-        let mut emc_done = None;
-
-        if let Some(emc) = &self.emc {
-            let trace = emc.lookup_traced(sys.data_mut(), key);
-            let done = self.exec.run_sw(sys, &trace, key_addr, t);
-            emc_done = Some(done);
-            t = done;
-            if let Some(v) = trace.result {
-                sys.trace_span("datapath", "classify", at, t);
-                return ClassifyOutcome {
-                    action: Some(v),
-                    emc_hit: true,
-                    megaflow: None,
-                    emc_done,
-                    megaflow_done: None,
-                    done: t,
-                };
-            }
-        }
-
-        let (m, probes) = megaflow.classify_traced(sys.base(), key, true);
-        let mut done = t;
-        for (_, tr) in &probes {
-            done = self.exec.run_sw(sys, tr, None, done);
-        }
         if let Some(hit) = &m {
             self.promote(sys.data_mut(), key, hit.action);
         }

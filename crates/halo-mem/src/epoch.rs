@@ -204,14 +204,21 @@ pub trait CoreMem {
     fn trace_enabled(&self) -> bool;
     /// Records a span on behalf of a component (no-op when disabled).
     fn trace_span(&mut self, component: &'static str, op: &'static str, start: Cycle, end: Cycle);
+    /// The whole live machine, for work that needs more than one core's
+    /// view (HALO accelerator dispatch); `None` inside epoch shards.
+    fn live(&mut self) -> Option<&mut MemorySystem> {
+        None
+    }
 }
 
 impl CoreMem for MemorySystem {
     type Data = SimMemory;
 
+    #[inline]
     fn data_mut(&mut self) -> &mut SimMemory {
         MemorySystem::data_mut(self)
     }
+    #[inline]
     fn base(&self) -> &SimMemory {
         self.data()
     }
@@ -222,11 +229,17 @@ impl CoreMem for MemorySystem {
     fn access(&mut self, core: CoreId, addr: Addr, kind: AccessKind, at: Cycle) -> AccessOutcome {
         MemorySystem::access(self, core, addr, kind, at)
     }
+    #[inline]
     fn trace_enabled(&self) -> bool {
         MemorySystem::trace_enabled(self)
     }
+    #[inline]
     fn trace_span(&mut self, component: &'static str, op: &'static str, start: Cycle, end: Cycle) {
         MemorySystem::trace_span(self, component, op, start, end);
+    }
+    #[inline]
+    fn live(&mut self) -> Option<&mut MemorySystem> {
+        Some(self)
     }
 }
 

@@ -39,9 +39,6 @@ pub(crate) enum LlcEvent {
     /// A request that reached the LLC (hit or fill): a load joins the
     /// sharers, a store takes the line exclusively, Modified.
     Access(LineAddr, AccessKind),
-    /// A dirty private eviction wrote the line back: it becomes
-    /// Modified.
-    DirtyWb(LineAddr),
 }
 
 impl LlcEvent {
@@ -51,8 +48,7 @@ impl LlcEvent {
             LlcEvent::Touch(l)
             | LlcEvent::Upgrade(l)
             | LlcEvent::FillSharer(l)
-            | LlcEvent::Access(l, _)
-            | LlcEvent::DirtyWb(l) => l,
+            | LlcEvent::Access(l, _) => l,
         }
     }
 
@@ -72,7 +68,6 @@ impl LlcEvent {
                 meta.state = LineState::Modified;
                 return u64::from(revoked);
             }
-            LlcEvent::DirtyWb(_) => meta.state = LineState::Modified,
         }
         0
     }
@@ -273,9 +268,9 @@ pub(crate) fn fill_private<H: Hierarchy>(
     kind: AccessKind,
 ) {
     let victim = fill(h.private(core).l2, line, kind);
-    write_back(h, core, victim);
+    write_back(h, victim);
     let victim = fill(h.private(core).l1d, line, kind);
-    write_back(h, core, victim);
+    write_back(h, victim);
 }
 
 fn fill(arr: &mut CacheArray, line: LineAddr, kind: AccessKind) -> Eviction {
@@ -290,13 +285,13 @@ fn fill(arr: &mut CacheArray, line: LineAddr, kind: AccessKind) -> Eviction {
     }
 }
 
-/// A private victim: a dirty one writes back and turns the LLC copy
-/// dirty (the data itself stays authoritative in `SimMemory`). A clean
-/// one leaves the sharer mask conservatively stale, as real directories
-/// do; the dirty-owner probe re-checks private tags.
-fn write_back<H: Hierarchy>(h: &mut H, core: CoreId, ev: Eviction) {
-    if let Eviction::Dirty { line, .. } = ev {
+/// A private victim: a dirty one writes back. Its LLC copy is already
+/// Modified (every private store marks it so) and the data itself stays
+/// authoritative in `SimMemory`, so only the count changes. A clean one
+/// leaves the sharer mask conservatively stale, as real directories do;
+/// the dirty-owner probe re-checks private tags.
+fn write_back<H: Hierarchy>(h: &mut H, ev: Eviction) {
+    if matches!(ev, Eviction::Dirty { .. }) {
         h.count(|i| i.private_writeback);
-        h.transition(core, LlcEvent::DirtyWb(line));
     }
 }

@@ -54,8 +54,8 @@ pub fn observed_parallelism() -> usize {
 /// the host offers, what the run was configured with, and the peak
 /// concurrency actually observed.
 ///
-/// Every benchmark JSON document (`BENCH_sweep.json`,
-/// `SCALE_flows.json`, `BENCH_parallel.json`) embeds the same three
+/// Every benchmark JSON document (`SCALE_flows.json`,
+/// `BENCH_parallel.json`) embeds the same three
 /// fields through [`ParallelismReport::json_fields`], and every
 /// wall-clock speedup assertion gates on
 /// [`ParallelismReport::can_assert_speedup`]: shared CI runners often

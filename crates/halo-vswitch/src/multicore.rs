@@ -19,7 +19,7 @@ use halo_datapath::{
     DatapathCore, LookupExecutor, NbRegion, TableBackend, TrafficEvent, WildcardBackend,
     WildcardMatcher, WildcardTable,
 };
-use halo_mem::{CoreId, EpochCore, MemorySystem, WindowOutcome, CACHE_LINE};
+use halo_mem::{CoreId, CoreMem, EpochCore, MemorySystem, WindowOutcome, CACHE_LINE};
 use halo_sim::{par_map, Cycle, SplitMix64};
 use halo_tables::{hash_key, SEED_PRIMARY};
 
@@ -79,6 +79,27 @@ struct PmdThread {
     dp: DatapathCore,
     clock: Cycle,
     packets: u64,
+}
+
+impl PmdThread {
+    /// Classifies one packet of `flow` at this PMD's clock, on either
+    /// executor's memory context, and advances the clock. Returns
+    /// whether any layer matched.
+    fn step<S: CoreMem>(
+        &mut self,
+        sys: &mut S,
+        engine: Option<&mut HaloEngine>,
+        megaflow: &WildcardMatcher,
+        flow: u64,
+    ) -> bool {
+        let key = PacketHeader::synthetic(flow).miniflow();
+        self.packets += 1;
+        let out = self
+            .dp
+            .classify(sys, engine, megaflow, &key, None, self.clock);
+        self.clock = out.done;
+        out.action.is_some()
+    }
 }
 
 /// A multi-core OVS-DPDK-style datapath over a shared MegaFlow layer.
@@ -200,15 +221,7 @@ fn exec_window(job: WindowJob<'_>, megaflow: &WildcardMatcher) -> (WindowOutcome
     } = job;
     let mut matched = 0u64;
     for &flow in &flows {
-        let key = PacketHeader::synthetic(flow).miniflow();
-        pmd.packets += 1;
-        let out = pmd
-            .dp
-            .classify_epoch(&mut shard, megaflow, &key, None, pmd.clock);
-        pmd.clock = out.done;
-        if out.action.is_some() {
-            matched += 1;
-        }
+        matched += u64::from(pmd.step(&mut shard, None, megaflow, flow));
     }
     (shard.finish(), matched)
 }
@@ -540,19 +553,12 @@ impl MultiCoreDatapath {
             Executor::Classic(engine) => {
                 let mut matched = 0u64;
                 for &(flow, p) in window.iter() {
-                    let key = PacketHeader::synthetic(flow).miniflow();
-                    let pmd = &mut self.pmds[p];
-                    pmd.packets += 1;
-                    let out = pmd.dp.classify(
+                    matched += u64::from(self.pmds[p].step(
                         sys,
                         engine.as_deref_mut(),
                         &self.megaflow,
-                        &key,
-                        None,
-                        pmd.clock,
-                    );
-                    pmd.clock = out.done;
-                    matched += u64::from(out.action.is_some());
+                        flow,
+                    ));
                 }
                 matched
             }

@@ -26,7 +26,7 @@ if [[ "$mode" == "update" ]]; then
     # previous run are sitting uncommitted in the tree: an --update that
     # silently coexists with leftover outputs makes it far too easy to
     # commit digests that do not correspond to this tree's code.
-    artifacts=(BENCH_hotpath.json BENCH_sweep.json TRACE_halo.json ABLATION_backends.json ABLATION_wildcard.json SCALE_flows.json)
+    artifacts=(TRACE_halo.json ABLATION_backends.json ABLATION_wildcard.json SCALE_flows.json)
     stale=()
     for f in "${artifacts[@]}"; do
         # Tracked-and-clean copies are fine; anything else (untracked,

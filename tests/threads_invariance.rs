@@ -5,13 +5,20 @@
 //! backend × stream matrix runs under the `slow-tests` feature (the
 //! deep CI job). The window-boundary checks pin where barriers fall.
 //!
-//! Two further checks pin the epoch executor's *values*, which thread
-//! invariance alone cannot: a one-core window merged back must leave
+//! Further checks pin the epoch executor's *values*, which thread
+//! invariance alone cannot: a one-core window merged back (raw
+//! accesses, and the one `classify` both executors run) must leave
 //! exactly the state of the classic sequential run, and the epoch runs
 //! above hash to recorded digests (no GOLDEN figure runs through the
-//! epoch path).
+//! epoch path). Three `should_panic` checks pin the epoch preconditions:
+//! no HALO backend, no tracing.
 
-use halo_nfv::datapath::{TableBackend, TrafficEvent};
+use halo_nfv::accel::{AcceleratorConfig, HaloEngine};
+use halo_nfv::classify::{distinct_masks, Emc, PacketHeader, SearchMode};
+use halo_nfv::datapath::{
+    ClassifyOutcome, DatapathCore, LookupExecutor, TableBackend, TrafficEvent, WildcardBackend,
+    WildcardMatcher, WildcardTable,
+};
 use halo_nfv::mem::{
     AccessKind, Addr, CoreId, CoreMem, EpochCore, MachineConfig, MemorySystem, SliceId,
 };
@@ -192,6 +199,120 @@ fn single_core_window_matches_classic_full_state() {
             }
         }
     }
+}
+
+/// Rules installed by [`folded_setup`] (flows `0..RULES`); the packet
+/// mix draws flows from `0..MIX_FLOWS`, so about a third of it misses.
+const RULES: u64 = 64;
+const MIX_FLOWS: u64 = 96;
+
+/// One core-0 datapath core (512-entry EMC, promotion on) over a
+/// four-tuple MegaFlow layer holding a rule per flow in `0..RULES`.
+/// The same calls on two fresh systems allocate the same addresses.
+fn folded_setup(sys: &mut MemorySystem, backend: LookupBackend) -> (DatapathCore, WildcardMatcher) {
+    let exec = LookupExecutor::new(sys, CoreId(0), backend);
+    let emc = Emc::new(sys.data_mut(), 512);
+    let masks = distinct_masks(4);
+    let mut megaflow = WildcardBackend::Tss.build(
+        sys.data_mut(),
+        TableBackend::Cuckoo,
+        &masks,
+        256,
+        SearchMode::FirstMatch,
+    );
+    for flow in 0..RULES {
+        let key = PacketHeader::synthetic(flow).miniflow();
+        megaflow
+            .insert_masked(sys.data_mut(), &masks[(flow % 4) as usize], &key, 0, flow)
+            .unwrap();
+    }
+    let dp = DatapathCore::new(exec, Some(emc), LookupBackend::Software, true);
+    (dp, megaflow)
+}
+
+/// Classifies a seeded 800-packet mix back to back on `sys`.
+fn classify_mix<S: CoreMem>(
+    sys: &mut S,
+    dp: &mut DatapathCore,
+    megaflow: &WildcardMatcher,
+) -> Vec<ClassifyOutcome> {
+    let mut rng = SplitMix64::new(0xf01d);
+    let mut t = Cycle(0);
+    (0..800)
+        .map(|_| {
+            let key = PacketHeader::synthetic(rng.below(MIX_FLOWS)).miniflow();
+            let out = dp.classify(sys, None, megaflow, &key, None, t);
+            t = out.done;
+            out
+        })
+        .collect()
+}
+
+/// The one `classify` gives the same outcomes and leaves the same state
+/// on the classic system as on a one-core epoch shard merged back, over
+/// a mix of EMC hits, MegaFlow hits with promotion, and misses.
+#[test]
+fn classify_on_a_one_core_shard_matches_classic() {
+    let mut classic = MemorySystem::new(MachineConfig::small());
+    let (mut dp, megaflow) = folded_setup(&mut classic, LookupBackend::Software);
+    let want = classify_mix(&mut classic, &mut dp, &megaflow);
+
+    let mut epoch = MemorySystem::new(MachineConfig::small());
+    let (mut dp, megaflow) = folded_setup(&mut epoch, LookupBackend::Software);
+    let mut fleet = epoch.epoch_split(1);
+    let got = classify_mix(&mut fleet[0], &mut dp, &megaflow);
+    let out = fleet.into_iter().map(EpochCore::finish).collect();
+    epoch.epoch_merge(out);
+
+    assert_eq!(format!("{want:?}"), format!("{got:?}"), "outcomes diverged");
+    let done = want.last().unwrap().done;
+    assert_eq!(full_state(&classic, done), full_state(&epoch, done));
+    let emc_hits = want.iter().filter(|o| o.emc_hit).count();
+    let megaflow_hits = want.iter().filter(|o| o.megaflow.is_some()).count();
+    let misses = want.iter().filter(|o| o.action.is_none()).count();
+    assert!(
+        emc_hits > 100 && megaflow_hits >= RULES as usize / 2 && misses > 100,
+        "mix lacks a path: {emc_hits} EMC hits, {megaflow_hits} MegaFlow hits, {misses} misses"
+    );
+}
+
+/// A HALO search on an epoch shard panics, naming the shard as the
+/// cause, even when an engine is supplied.
+#[test]
+#[should_panic(expected = "not an epoch shard")]
+fn halo_classify_on_a_shard_panics() {
+    let mut sys = MemorySystem::new(MachineConfig::small());
+    let mut engine = HaloEngine::new(&sys, AcceleratorConfig::default());
+    let (mut dp, megaflow) = folded_setup(&mut sys, LookupBackend::HaloBlocking);
+    let mut fleet = sys.epoch_split(1);
+    let key = PacketHeader::synthetic(1).miniflow();
+    dp.classify(
+        &mut fleet[0],
+        Some(&mut engine),
+        &megaflow,
+        &key,
+        None,
+        Cycle(0),
+    );
+}
+
+/// The epoch runner refuses a HALO backend before it splits.
+#[test]
+#[should_panic(expected = "epoch-parallel execution is software-only")]
+fn epoch_runner_rejects_a_halo_backend() {
+    let mut sys = MemorySystem::new(MachineConfig::default());
+    let cfg = MultiCoreConfig::new(2, 5, 2_000, LookupBackend::HaloNonBlocking, 42);
+    let mut dp = MultiCoreDatapath::with_config(&mut sys, cfg);
+    dp.run_stream_parallel_with(&mut sys, (0..8).map(TrafficEvent::Packet), 1, &mut |_| {});
+}
+
+/// The epoch runner refuses a traced system before it splits.
+#[test]
+#[should_panic(expected = "epoch-parallel runs cannot record spans")]
+fn epoch_runner_rejects_tracing() {
+    let (mut sys, mut dp) = datapath(TableBackend::Cuckoo, 2);
+    sys.enable_tracing(1024);
+    dp.run_stream_parallel_with(&mut sys, (0..8).map(TrafficEvent::Packet), 1, &mut |_| {});
 }
 
 /// At every window barrier the master system must satisfy all of
