@@ -4,11 +4,12 @@
 //! [`Violation`]s instead of panicking so harnesses can fold audit
 //! results into shrinkable divergence messages.
 
+use halo_datapath::ExactTable;
 use halo_mem::{LineAddr, LineState, MemorySystem, SimMemory, SliceId};
 use halo_sim::Cycle;
 use halo_tables::{
-    bucket_pair, hash_key, signature, CuckooPlusPlusTable, CuckooTable, EmomaTable, FlowTable,
-    TableMeta, ENTRIES_PER_BUCKET, FILTER_SLOTS, SEED_PRIMARY,
+    bucket_pair, hash_key, signature, CuckooTable, EmomaTable, FlowTable, TableMeta,
+    ENTRIES_PER_BUCKET, FILTER_SLOTS, SEED_PRIMARY,
 };
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -235,30 +236,16 @@ fn check_cuckoo_accounting(
 ///   [`cuckoo_move_begin`](CuckooTable::cuckoo_move_begin) holds.
 /// * **live-count** — live bucket entries equal `len()` plus in-flight
 ///   moves, and `len() + free_slots() == capacity()`.
+/// * **filter-exact** — on a table with Cuckoo++ presence filters
+///   ([`has_presence_filter`](CuckooTable::has_presence_filter)), every
+///   filter counter equals the number of keys whose primary bucket it
+///   is that are currently stored in their secondary bucket. In-flight
+///   two-phase moves perturb counters by one each (the filter is
+///   adjusted at `begin`, the duplicate entry pair resolves at
+///   `commit`/`abort`), so the check tolerates a total absolute drift
+///   of `moves_in_flight()`.
 #[must_use]
 pub fn audit_cuckoo(table: &CuckooTable, mem: &mut SimMemory) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let live = walk_cuckoo_entries(table.meta(), mem, &mut out);
-    check_cuckoo_accounting(
-        &live,
-        table.len(),
-        table.free_slots(),
-        table.capacity(),
-        table.moves_in_flight(),
-        &mut out,
-    );
-    out
-}
-
-/// Audits a [`CuckooPlusPlusTable`]: all the [`audit_cuckoo`] checks
-/// plus **filter-exact** — every per-bucket presence-filter counter
-/// must equal the number of keys whose primary bucket it is that are
-/// currently stored in their secondary bucket. In-flight two-phase
-/// moves perturb counters by one each (the filter is adjusted at
-/// `begin`, the duplicate entry pair resolves at `commit`/`abort`), so
-/// the check tolerates a total absolute drift of `moves_in_flight()`.
-#[must_use]
-pub fn audit_cuckoo_pp(table: &CuckooPlusPlusTable, mem: &mut SimMemory) -> Vec<Violation> {
     let mut out = Vec::new();
     let meta = *table.meta();
     let live = walk_cuckoo_entries(&meta, mem, &mut out);
@@ -270,6 +257,9 @@ pub fn audit_cuckoo_pp(table: &CuckooPlusPlusTable, mem: &mut SimMemory) -> Vec<
         table.moves_in_flight(),
         &mut out,
     );
+    if !table.has_presence_filter() {
+        return out;
+    }
 
     // Recompute every presence filter from the live entries. A pending
     // p->s move holds copies in both buckets; counting the secondary
@@ -284,7 +274,7 @@ pub fn audit_cuckoo_pp(table: &CuckooPlusPlusTable, mem: &mut SimMemory) -> Vec<
         let (b1, _) = bucket_pair(&key, meta.buckets);
         if b != b1 && counted.insert(idx) {
             *expect
-                .entry((b1, CuckooPlusPlusTable::filter_index(&key)))
+                .entry((b1, CuckooTable::filter_index(&key)))
                 .or_insert(0) += 1;
         }
     }
@@ -440,6 +430,17 @@ pub fn audit_emoma(table: &EmomaTable, mem: &mut SimMemory) -> Vec<Violation> {
     out
 }
 
+/// Runs the structural auditor of whichever table `t` holds:
+/// [`audit_cuckoo`] (with its filter check on a Cuckoo++ table) or
+/// [`audit_emoma`].
+#[must_use]
+pub fn audit_exact(t: &ExactTable, mem: &mut SimMemory) -> Vec<Violation> {
+    match t {
+        ExactTable::Cuckoo(c) => audit_cuckoo(c, mem),
+        ExactTable::Emoma(e) => audit_emoma(e, mem),
+    }
+}
+
 /// Audits that every line of `table` the LLC currently holds sits on
 /// the CHA slice the address-interleaving promises — the property HALO
 /// leans on to co-locate each accelerator with its slice's share of the
@@ -535,23 +536,23 @@ mod tests {
     #[test]
     fn cuckoo_pp_audit_accepts_table_and_catches_stale_filter() {
         let mut mem = SimMemory::new();
-        let mut t = CuckooPlusPlusTable::create(&mut mem, 1 << 6, 13);
+        let mut t = CuckooTable::with_presence_filter(&mut mem, 1 << 6, 13);
         for i in 0..200u64 {
             t.insert(&mut mem, &FlowKey::synthetic(i, 13), i).unwrap();
         }
-        assert_eq!(audit_cuckoo_pp(&t, &mut mem), vec![]);
+        assert_eq!(audit_cuckoo(&t, &mut mem), vec![]);
         let mv = t
             .cuckoo_move_begin(&mut mem, &FlowKey::synthetic(42, 13))
             .expect("movable key");
-        let mid = audit_cuckoo_pp(&t, &mut mem);
+        let mid = audit_cuckoo(&t, &mut mem);
         assert_eq!(mid, vec![], "in-flight move must stay within tolerance");
         t.cuckoo_move_commit(&mut mem, mv);
-        assert_eq!(audit_cuckoo_pp(&t, &mut mem), vec![]);
+        assert_eq!(audit_cuckoo(&t, &mut mem), vec![]);
         // Corrupt one filter byte behind the table's back.
         let addr = t.meta().bucket_addr(3) + halo_tables::FILTER_OFF;
         let stale = mem.read_u8(addr);
         mem.write_u8(addr, stale.wrapping_add(1));
-        let found = audit_cuckoo_pp(&t, &mut mem);
+        let found = audit_cuckoo(&t, &mut mem);
         assert!(
             found.iter().any(|v| v.invariant == "filter-exact"),
             "missed stale filter: {found:?}"
@@ -568,9 +569,9 @@ mod tests {
         assert_eq!(audit_emoma(&t, &mut mem), vec![]);
         // Displace a key, audit mid-move and after.
         let k = FlowKey::synthetic(42, 13);
-        if let Some(mv) = t.move_begin(&mut mem, &k) {
+        if let Some(mv) = t.cuckoo_move_begin(&mut mem, &k) {
             assert_eq!(audit_emoma(&t, &mut mem), vec![], "pending move tolerated");
-            t.move_commit(&mut mem, mv);
+            t.cuckoo_move_commit(&mut mem, mv);
         }
         assert_eq!(audit_emoma(&t, &mut mem), vec![]);
     }

@@ -16,13 +16,13 @@
 
 use std::collections::HashMap;
 
-use halo_datapath::{ExactTable, TableBackend, TrafficEvent};
+use halo_datapath::{TableBackend, TrafficEvent};
 use halo_mem::SimMemory;
 use halo_nf::{StreamConfig, StreamingTrafficGen};
 use halo_sim::point_seed;
 use halo_tables::{FlowKey, FlowTable};
 
-use crate::audit::{audit_cuckoo, audit_cuckoo_pp, audit_emoma};
+use crate::audit::audit_exact;
 use crate::oracle::{Op, KEY_LEN};
 use crate::shrink::{shrink_ops, MinimalTrace};
 
@@ -36,18 +36,6 @@ fn fold(flow: u64, key_space: u16) -> u16 {
 
 fn key(k: u16) -> FlowKey {
     FlowKey::synthetic(u64::from(k), KEY_LEN)
-}
-
-/// Runs the backend's own invariant auditor, whichever backend `t` is,
-/// returning the first violation rendered as a message.
-#[must_use]
-pub fn audit_exact(t: &ExactTable, mem: &mut SimMemory) -> Option<String> {
-    let violations = match t {
-        ExactTable::Cuckoo(c) => audit_cuckoo(c, mem),
-        ExactTable::CuckooPlusPlus(c) => audit_cuckoo_pp(c, mem),
-        ExactTable::Emoma(e) => audit_emoma(e, mem),
-    };
-    violations.into_iter().next().map(|v| v.to_string())
 }
 
 /// Converts a churn-preset streaming run into a replayable op
@@ -122,12 +110,15 @@ pub fn churn_driver(backend: TableBackend, key_space: u16, ops: &[Op]) -> Option
             ));
         }
         if (i + 1) % AUDIT_EPOCH == 0 {
-            if let Some(v) = audit_exact(&t, &mut mem) {
+            if let Some(v) = audit_exact(&t, &mut mem).into_iter().next() {
                 return Some(format!("op {i} ({op}): epoch audit violation: {v}"));
             }
         }
     }
-    audit_exact(&t, &mut mem).map(|v| format!("final audit: {v}"))
+    audit_exact(&t, &mut mem)
+        .into_iter()
+        .next()
+        .map(|v| format!("final audit: {v}"))
 }
 
 /// Runs `cases` churn differential cases of `flows` initial flows plus

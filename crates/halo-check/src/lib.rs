@@ -6,7 +6,8 @@
 //!
 //! * **Differential oracle** ([`oracle`], [`run_differential`]) — a
 //!   trivially-correct reference map driven by the same SplitMix64-seeded
-//!   op stream as [`CuckooTable`](halo_tables::CuckooTable),
+//!   op stream as every exact-match backend ([`exact_driver`] over a
+//!   [`TableBackend`](halo_datapath::TableBackend)),
 //!   [`SfhTable`](halo_tables::SfhTable),
 //!   [`KvStore`](halo_kvstore::KvStore),
 //!   [`TcamTable`](halo_tcam::TcamTable), and
@@ -23,7 +24,7 @@
 //!   range-rule churn and classification streams against a linear-scan
 //!   [`RangeOracle`] on every wildcard backend (TSS expansion and
 //!   RVH), comparing `(priority, action)` winners.
-//! * **Invariant auditor** ([`audit_system`], [`audit_cuckoo`],
+//! * **Invariant auditor** ([`audit_system`], [`audit_exact`],
 //!   [`audit_table_placement`]) — walks
 //!   [`MemorySystem`](halo_mem::MemorySystem)/cache state and the table
 //!   layout, asserting the structural invariants the paper assumes:
@@ -44,10 +45,13 @@
 //! # Examples
 //!
 //! ```
-//! use halo_check::{cuckoo_driver, run_differential};
+//! use halo_check::{exact_driver, run_differential};
+//! use halo_datapath::TableBackend;
 //!
-//! run_differential("doc.cuckoo", 2, 60, 256, |ops| cuckoo_driver(ops))
-//!     .expect("cuckoo agrees with the oracle");
+//! run_differential("doc.cuckoo", 2, 60, 256, |ops| {
+//!     exact_driver(TableBackend::Cuckoo, ops)
+//! })
+//! .expect("cuckoo agrees with the oracle");
 //! ```
 
 #![deny(unsafe_code)]
@@ -62,13 +66,13 @@ mod shrink;
 mod wildcard;
 
 pub use audit::{
-    audit_cuckoo, audit_cuckoo_pp, audit_emoma, audit_system, audit_table_placement, Violation,
+    audit_cuckoo, audit_emoma, audit_exact, audit_system, audit_table_placement, Violation,
 };
-pub use churn::{audit_exact, churn_driver, churn_ops, run_churn_differential, AUDIT_EPOCH};
-pub use fault::{run_fault_injection, FaultBackend, FaultConfig, FaultReport, FaultTarget};
+pub use churn::{churn_driver, churn_ops, run_churn_differential, AUDIT_EPOCH};
+pub use fault::{run_fault_injection, FaultConfig, FaultReport};
 pub use oracle::{
-    buggy_cuckoo_driver, cuckoo_driver, cuckoo_pp_driver, emoma_driver, engine_driver,
-    flow_table_driver, gen_ops, kvstore_driver, sfh_driver, tcam_driver, Op, KEY_LEN,
+    buggy_cuckoo_driver, engine_driver, exact_driver, flow_table_driver, gen_ops, kvstore_driver,
+    sfh_driver, tcam_driver, Op, KEY_LEN,
 };
 pub use shrink::{run_differential, shrink_ops, MinimalTrace};
 pub use wildcard::{

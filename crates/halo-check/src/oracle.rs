@@ -8,20 +8,19 @@
 //! fully deterministic.
 
 use halo_accel::{AcceleratorConfig, HaloEngine};
+use halo_datapath::TableBackend;
 use halo_kvstore::KvStore;
 use halo_mem::{CoreId, MachineConfig, MemorySystem, SimMemory};
 use halo_sim::{Cycle, Cycles, SplitMix64};
 use halo_tables::{
-    bucket_pair, hash_key, signature, CuckooPlusPlusTable, CuckooTable, EmomaTable, FlowKey,
-    FlowTable, SfhTable, ENTRIES_PER_BUCKET, SEED_PRIMARY,
+    bucket_pair, hash_key, signature, CuckooTable, FlowKey, FlowTable, SfhTable, TraceStep,
+    ENTRIES_PER_BUCKET, SEED_PRIMARY,
 };
 use halo_tcam::TcamTable;
 use std::collections::HashMap;
 use std::fmt;
 
-use crate::audit::{
-    audit_cuckoo, audit_cuckoo_pp, audit_emoma, audit_system, audit_table_placement,
-};
+use crate::audit::{audit_cuckoo, audit_exact, audit_system, audit_table_placement};
 use crate::audit_enabled;
 
 /// Key length (bytes) of every generated flow key.
@@ -92,155 +91,43 @@ fn diverge(i: usize, op: Op, what: &str, got: impl fmt::Debug, want: impl fmt::D
     format!("op {i} ({op}): {what} returned {got:?}, oracle says {want:?}")
 }
 
-/// Replays `ops` against a [`CuckooTable`] and a `HashMap` oracle,
-/// checking lookup results, remove results, length, and free-list
-/// accounting after every op. Returns the first divergence, if any.
-#[must_use]
-pub fn cuckoo_driver(ops: &[Op]) -> Option<String> {
-    let mut mem = SimMemory::new();
-    let mut t = CuckooTable::create(&mut mem, 1 << 10, KEY_LEN); // 8192 slots
-    let mut model: HashMap<u16, u64> = HashMap::new();
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                if t.insert(&mut mem, &key(k), v).is_err() {
-                    return Some(format!("op {i} ({op}): insert rejected with headroom"));
-                }
-                model.insert(k, v);
-            }
-            Op::Remove(k) => {
-                let got = t.remove(&mut mem, &key(k));
-                let want = model.remove(&k);
-                if got != want {
-                    return Some(diverge(i, op, "remove", got, want));
-                }
-            }
-            Op::Lookup(k) | Op::Move(k) => {
-                if matches!(op, Op::Move(_)) {
-                    t.cuckoo_move(&mut mem, &key(k));
-                }
-                let got = t.lookup(&mem, &key(k));
-                let want = model.get(&k).copied();
-                if got != want {
-                    return Some(diverge(i, op, "lookup", got, want));
-                }
-            }
-        }
-        if t.len() != model.len() {
-            return Some(diverge(i, op, "len", t.len(), model.len()));
-        }
-        if t.len() + t.free_slots() != t.capacity() {
-            return Some(format!(
-                "op {i} ({op}): occupancy accounting broken: len {} + free {} != capacity {}",
-                t.len(),
-                t.free_slots(),
-                t.capacity()
-            ));
-        }
-    }
-    if let Some(v) = audit_cuckoo(&t, &mut mem).into_iter().next() {
-        return Some(format!("final audit: {v}"));
-    }
-    None
+fn bucket_loads(steps: &[TraceStep]) -> usize {
+    steps
+        .iter()
+        .filter(|s| matches!(s, TraceStep::LoadBucket(_)))
+        .count()
 }
 
-/// Replays `ops` against a [`CuckooPlusPlusTable`] and a `HashMap`
-/// oracle: the [`flow_table_driver`] checks plus the native cuckoo
-/// notions the trait cannot express — `Move` exercises the real
-/// two-phase displacement, free-slot accounting is checked after every
-/// op, negative lookups are spot-checked to take a **single** bucket
-/// probe (the presence filter's whole point), and the filter-exactness
-/// auditor runs per-op under [`audit_enabled`](crate::audit_enabled)
-/// and always at the end.
+/// Replays `ops` against a `backend` table of `1 << 10` buckets (8192
+/// slots) and a `HashMap` oracle, checking lookup results, remove
+/// results, length, and free-list accounting after every op. `Move`
+/// exercises the table's real two-phase displacement. Beyond the
+/// [`flow_table_driver`] checks it enforces what each backend promises:
+///
+/// * the cuckoo tables never reject an insert with this much headroom;
+///   EMOMA may (an exhausted cascade budget), and such an insert is
+///   skipped in the model too unless the key is present — updates must
+///   succeed in place;
+/// * on Cuckoo++, a removed key's negative lookup takes a **single**
+///   bucket probe (the presence filter's whole point);
+/// * on EMOMA, every lookup takes exactly **one** bucket probe.
+///
+/// The backend's structural auditor runs per-op under
+/// [`audit_enabled`](crate::audit_enabled) and always at the end.
+/// Returns the first divergence, if any.
 #[must_use]
-pub fn cuckoo_pp_driver(ops: &[Op]) -> Option<String> {
+pub fn exact_driver(backend: TableBackend, ops: &[Op]) -> Option<String> {
     let mut mem = SimMemory::new();
-    let mut t = CuckooPlusPlusTable::create(&mut mem, 1 << 10, KEY_LEN); // 8192 slots
-    let mut model: HashMap<u16, u64> = HashMap::new();
-    for (i, &op) in ops.iter().enumerate() {
-        match op {
-            Op::Insert(k, v) => {
-                if t.insert(&mut mem, &key(k), v).is_err() {
-                    return Some(format!("op {i} ({op}): insert rejected with headroom"));
-                }
-                model.insert(k, v);
-            }
-            Op::Remove(k) => {
-                let got = t.remove(&mut mem, &key(k));
-                let want = model.remove(&k);
-                if got != want {
-                    return Some(diverge(i, op, "remove", got, want));
-                }
-                // The satellite regression, continuously: once a key is
-                // gone its negative lookup must cost one bucket probe.
-                if want.is_some() {
-                    let tr = t.lookup_traced(&mem, &key(k), false);
-                    let probes = tr
-                        .steps
-                        .iter()
-                        .filter(|s| matches!(s, halo_tables::TraceStep::LoadBucket(_)))
-                        .count();
-                    if tr.result.is_some() || probes != 1 {
-                        return Some(format!(
-                            "op {i} ({op}): removed key still hot: result {:?}, {probes} probes",
-                            tr.result
-                        ));
-                    }
-                }
-            }
-            Op::Lookup(k) | Op::Move(k) => {
-                if matches!(op, Op::Move(_)) {
-                    t.cuckoo_move(&mut mem, &key(k));
-                }
-                let got = t.lookup(&mem, &key(k));
-                let want = model.get(&k).copied();
-                if got != want {
-                    return Some(diverge(i, op, "lookup", got, want));
-                }
-            }
-        }
-        if t.len() != model.len() {
-            return Some(diverge(i, op, "len", t.len(), model.len()));
-        }
-        if t.len() + t.free_slots() != t.capacity() {
-            return Some(format!(
-                "op {i} ({op}): occupancy accounting broken: len {} + free {} != capacity {}",
-                t.len(),
-                t.free_slots(),
-                t.capacity()
-            ));
-        }
-        if audit_enabled() {
-            if let Some(v) = audit_cuckoo_pp(&t, &mut mem).into_iter().next() {
-                return Some(format!("op {i} ({op}): audit violation: {v}"));
-            }
-        }
-    }
-    if let Some(v) = audit_cuckoo_pp(&t, &mut mem).into_iter().next() {
-        return Some(format!("final audit: {v}"));
-    }
-    None
-}
-
-/// Replays `ops` against an [`EmomaTable`] and a `HashMap` oracle.
-/// `Move` exercises the steering-aware two-phase displacement (which
-/// may legitimately refuse, e.g. when moving home would strand the key
-/// CBF-positive); inserts that exhaust the cascade budget are skipped
-/// in the model too, unless the key is present (updates must succeed in
-/// place). Every positive lookup is required to take exactly **one**
-/// bucket probe — the EMOMA property — and the steering/CBF/tracking
-/// auditor runs per-op under [`audit_enabled`](crate::audit_enabled)
-/// and always at the end.
-#[must_use]
-pub fn emoma_driver(ops: &[Op]) -> Option<String> {
-    let mut mem = SimMemory::new();
-    let mut t = EmomaTable::create(&mut mem, 1 << 10, KEY_LEN); // 8192 slots
+    let mut t = backend.create(&mut mem, 1 << 10, KEY_LEN);
+    let emoma = backend == TableBackend::Emoma;
     let mut model: HashMap<u16, u64> = HashMap::new();
     for (i, &op) in ops.iter().enumerate() {
         match op {
             Op::Insert(k, v) => {
                 if t.insert(&mut mem, &key(k), v).is_ok() {
                     model.insert(k, v);
+                } else if !emoma {
+                    return Some(format!("op {i} ({op}): insert rejected with headroom"));
                 } else if model.contains_key(&k) {
                     return Some(format!("op {i} ({op}): update of present key rejected"));
                 }
@@ -251,22 +138,32 @@ pub fn emoma_driver(ops: &[Op]) -> Option<String> {
                 if got != want {
                     return Some(diverge(i, op, "remove", got, want));
                 }
+                // Once a key is gone its negative lookup must cost one
+                // bucket probe on a presence-filtered table.
+                if want.is_some() && backend == TableBackend::CuckooPlusPlus {
+                    let tr = t.lookup_traced(&mem, &key(k), false);
+                    let probes = bucket_loads(&tr.steps);
+                    if tr.result.is_some() || probes != 1 {
+                        return Some(format!(
+                            "op {i} ({op}): removed key still hot: result {:?}, {probes} probes",
+                            tr.result
+                        ));
+                    }
+                }
             }
             Op::Lookup(k) | Op::Move(k) => {
                 if matches!(op, Op::Move(_)) {
-                    t.displace(&mut mem, &key(k));
+                    if let Some(mv) = t.cuckoo_move_begin(&mut mem, &key(k)) {
+                        t.cuckoo_move_commit(&mut mem, mv);
+                    }
                 }
                 let tr = t.lookup_traced(&mem, &key(k), false);
                 let want = model.get(&k).copied();
                 if tr.result != want {
                     return Some(diverge(i, op, "lookup", tr.result, want));
                 }
-                let probes = tr
-                    .steps
-                    .iter()
-                    .filter(|s| matches!(s, halo_tables::TraceStep::LoadBucket(_)))
-                    .count();
-                if probes != 1 {
+                let probes = bucket_loads(&tr.steps);
+                if emoma && probes != 1 {
                     return Some(format!(
                         "op {i} ({op}): EMOMA lookup took {probes} bucket probes"
                     ));
@@ -285,12 +182,12 @@ pub fn emoma_driver(ops: &[Op]) -> Option<String> {
             ));
         }
         if audit_enabled() {
-            if let Some(v) = audit_emoma(&t, &mut mem).into_iter().next() {
+            if let Some(v) = audit_exact(&t, &mut mem).into_iter().next() {
                 return Some(format!("op {i} ({op}): audit violation: {v}"));
             }
         }
     }
-    if let Some(v) = audit_emoma(&t, &mut mem).into_iter().next() {
+    if let Some(v) = audit_exact(&t, &mut mem).into_iter().next() {
         return Some(format!("final audit: {v}"));
     }
     None
@@ -565,9 +462,9 @@ mod tests {
     fn drivers_pass_a_quick_stream() {
         let mut rng = SplitMix64::new(point_seed("oracle.smoke", 0));
         let ops = gen_ops(&mut rng, 40, 64);
-        assert_eq!(cuckoo_driver(&ops), None);
-        assert_eq!(cuckoo_pp_driver(&ops), None);
-        assert_eq!(emoma_driver(&ops), None);
+        for backend in TableBackend::all() {
+            assert_eq!(exact_driver(backend, &ops), None, "{}", backend.name());
+        }
         assert_eq!(sfh_driver(&ops), None);
         assert_eq!(tcam_driver(&ops), None);
     }
@@ -588,6 +485,10 @@ mod tests {
     fn buggy_driver_diverges_on_insert_then_remove() {
         let ops = [Op::Insert(3, 7), Op::Remove(3)];
         assert!(buggy_cuckoo_driver(&ops).is_some(), "leak must be caught");
-        assert_eq!(cuckoo_driver(&ops), None, "real table must pass");
+        assert_eq!(
+            exact_driver(TableBackend::Cuckoo, &ops),
+            None,
+            "real table must pass"
+        );
     }
 }

@@ -4,18 +4,23 @@
 //! over it.
 //!
 //! The three backends model three points in the lookup
-//! memory-access-pattern design space:
+//! memory-access-pattern design space, built from two table types:
 //!
-//! * [`TableBackend::Cuckoo`] — the DPDK `rte_hash` baseline: negative
-//!   lookups probe both candidate buckets.
-//! * [`TableBackend::CuckooPlusPlus`] — per-bucket presence filters
-//!   (Le Scouarnec's Cuckoo++) kill the secondary probe on negatives.
-//! * [`TableBackend::Emoma`] — an on-chip counting Bloom filter
-//!   (EMOMA) steers every lookup, hit or miss, to a single bucket.
+//! * [`TableBackend::Cuckoo`] — the DPDK `rte_hash` baseline
+//!   ([`CuckooTable::create`]): negative lookups probe both candidate
+//!   buckets.
+//! * [`TableBackend::CuckooPlusPlus`] — the same [`CuckooTable`] built
+//!   with per-bucket presence filters
+//!   ([`CuckooTable::with_presence_filter`], Le Scouarnec's Cuckoo++),
+//!   which kill the secondary probe on negatives.
+//! * [`TableBackend::Emoma`] — [`EmomaTable`], an on-chip counting Bloom
+//!   filter (EMOMA) that steers every lookup, hit or miss, to a single
+//!   bucket.
 
 use halo_mem::{Addr, SimMemory};
 use halo_tables::{
-    CuckooPlusPlusTable, CuckooTable, EmomaTable, FlowKey, FlowTable, LookupTrace, TableFullError,
+    buckets_for, CuckooTable, EmomaTable, FlowKey, FlowTable, LookupTrace, PendingMove,
+    TableFullError,
 };
 
 /// Which exact-match table implementation backs a flow table.
@@ -51,6 +56,24 @@ impl TableBackend {
         }
     }
 
+    /// Creates a table of this backend with `buckets` buckets (power of
+    /// two) for `key_len`-byte keys.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `buckets` is not a power of two or `key_len` is out of
+    /// range.
+    #[must_use]
+    pub fn create(self, mem: &mut SimMemory, buckets: u64, key_len: usize) -> ExactTable {
+        match self {
+            TableBackend::Cuckoo => ExactTable::Cuckoo(CuckooTable::create(mem, buckets, key_len)),
+            TableBackend::CuckooPlusPlus => {
+                ExactTable::Cuckoo(CuckooTable::with_presence_filter(mem, buckets, key_len))
+            }
+            TableBackend::Emoma => ExactTable::Emoma(EmomaTable::create(mem, buckets, key_len)),
+        }
+    }
+
     /// Builds a table of this backend sized for `flows` entries at
     /// `occupancy`, with the same sizing arithmetic for every variant
     /// (so ablations compare equal-capacity tables).
@@ -67,34 +90,32 @@ impl TableBackend {
         occupancy: f64,
         key_len: usize,
     ) -> ExactTable {
-        match self {
-            TableBackend::Cuckoo => ExactTable::Cuckoo(CuckooTable::with_capacity_for(
-                mem, flows, occupancy, key_len,
-            )),
-            TableBackend::CuckooPlusPlus => ExactTable::CuckooPlusPlus(
-                CuckooPlusPlusTable::with_capacity_for(mem, flows, occupancy, key_len),
-            ),
-            TableBackend::Emoma => ExactTable::Emoma(EmomaTable::with_capacity_for(
-                mem, flows, occupancy, key_len,
-            )),
-        }
+        self.create(mem, buckets_for(flows, occupancy), key_len)
     }
 }
 
-/// A runtime-selected exact-match table: the concrete backend behind
-/// one enum so configs can carry a [`TableBackend`] instead of a type
-/// parameter. Implements [`FlowTable`] by delegation; the inherent
-/// [`version_addr`](ExactTable::version_addr) /
-/// [`all_lines`](ExactTable::all_lines) accessors keep the non-optional
-/// signatures the cuckoo-specific call sites rely on.
+/// A runtime-selected exact-match table: one of the two cuckoo-family
+/// table types behind one enum, so configs can carry a [`TableBackend`]
+/// instead of a type parameter. Implements [`FlowTable`] by delegation;
+/// the inherent accessors keep the non-optional signatures the
+/// cuckoo-specific call sites rely on, and the two-phase move protocol
+/// is exposed for the fault injector.
 #[derive(Debug)]
 pub enum ExactTable {
-    /// Baseline cuckoo table.
+    /// Cuckoo table, with or without Cuckoo++ presence filters.
     Cuckoo(CuckooTable),
-    /// Cuckoo++ with presence filters.
-    CuckooPlusPlus(CuckooPlusPlusTable),
     /// EMOMA with CBF steering.
     Emoma(EmomaTable),
+}
+
+/// Evaluates `$body` with `$t` bound to whichever table `$table` holds.
+macro_rules! on_table {
+    ($table:expr, $t:ident => $body:expr) => {
+        match $table {
+            ExactTable::Cuckoo($t) => $body,
+            ExactTable::Emoma($t) => $body,
+        }
+    };
 }
 
 impl ExactTable {
@@ -102,8 +123,8 @@ impl ExactTable {
     #[must_use]
     pub fn backend(&self) -> TableBackend {
         match self {
+            ExactTable::Cuckoo(t) if t.has_presence_filter() => TableBackend::CuckooPlusPlus,
             ExactTable::Cuckoo(_) => TableBackend::Cuckoo,
-            ExactTable::CuckooPlusPlus(_) => TableBackend::CuckooPlusPlus,
             ExactTable::Emoma(_) => TableBackend::Emoma,
         }
     }
@@ -112,47 +133,57 @@ impl ExactTable {
     /// backend models one).
     #[must_use]
     pub fn version_addr(&self) -> Addr {
-        match self {
-            ExactTable::Cuckoo(t) => t.version_addr(),
-            ExactTable::CuckooPlusPlus(t) => t.version_addr(),
-            ExactTable::Emoma(t) => t.version_addr(),
-        }
+        on_table!(self, t => t.version_addr())
     }
 
     /// All memory lines of the table (for LLC warming).
     #[must_use]
     pub fn all_lines(&self) -> Vec<Addr> {
-        match self {
-            ExactTable::Cuckoo(t) => t.all_lines().collect(),
-            ExactTable::CuckooPlusPlus(t) => t.all_lines().collect(),
-            ExactTable::Emoma(t) => t.all_lines().collect(),
-        }
+        on_table!(self, t => t.all_lines().collect())
+    }
+
+    /// Number of unclaimed key-value slots.
+    #[must_use]
+    pub fn free_slots(&self) -> usize {
+        on_table!(self, t => t.free_slots())
+    }
+
+    /// Two-phase moves currently between `begin` and `commit`/`abort`.
+    #[must_use]
+    pub fn moves_in_flight(&self) -> usize {
+        on_table!(self, t => t.moves_in_flight())
+    }
+
+    /// Starts a two-phase move of `key` to its other bucket; `None`
+    /// when the backend refuses (see each table's `cuckoo_move_begin`).
+    pub fn cuckoo_move_begin(&mut self, mem: &mut SimMemory, key: &FlowKey) -> Option<PendingMove> {
+        on_table!(self, t => t.cuckoo_move_begin(mem, key))
+    }
+
+    /// Completes a move started by
+    /// [`cuckoo_move_begin`](Self::cuckoo_move_begin).
+    pub fn cuckoo_move_commit(&mut self, mem: &mut SimMemory, mv: PendingMove) {
+        on_table!(self, t => t.cuckoo_move_commit(mem, mv));
+    }
+
+    /// Rolls back a move started by
+    /// [`cuckoo_move_begin`](Self::cuckoo_move_begin).
+    pub fn cuckoo_move_abort(&mut self, mem: &mut SimMemory, mv: PendingMove) {
+        on_table!(self, t => t.cuckoo_move_abort(mem, mv));
     }
 }
 
 impl FlowTable for ExactTable {
     fn meta_addr(&self) -> Option<Addr> {
-        match self {
-            ExactTable::Cuckoo(t) => FlowTable::meta_addr(t),
-            ExactTable::CuckooPlusPlus(t) => FlowTable::meta_addr(t),
-            ExactTable::Emoma(t) => FlowTable::meta_addr(t),
-        }
+        on_table!(self, t => FlowTable::meta_addr(t))
     }
 
     fn len(&self) -> usize {
-        match self {
-            ExactTable::Cuckoo(t) => FlowTable::len(t),
-            ExactTable::CuckooPlusPlus(t) => FlowTable::len(t),
-            ExactTable::Emoma(t) => FlowTable::len(t),
-        }
+        on_table!(self, t => t.len())
     }
 
     fn capacity(&self) -> usize {
-        match self {
-            ExactTable::Cuckoo(t) => FlowTable::capacity(t),
-            ExactTable::CuckooPlusPlus(t) => FlowTable::capacity(t),
-            ExactTable::Emoma(t) => FlowTable::capacity(t),
-        }
+        on_table!(self, t => t.capacity())
     }
 
     fn insert(
@@ -161,35 +192,19 @@ impl FlowTable for ExactTable {
         key: &FlowKey,
         value: u64,
     ) -> Result<(), TableFullError> {
-        match self {
-            ExactTable::Cuckoo(t) => t.insert(mem, key, value),
-            ExactTable::CuckooPlusPlus(t) => t.insert(mem, key, value),
-            ExactTable::Emoma(t) => t.insert(mem, key, value),
-        }
+        on_table!(self, t => t.insert(mem, key, value))
     }
 
     fn remove(&mut self, mem: &mut SimMemory, key: &FlowKey) -> Option<u64> {
-        match self {
-            ExactTable::Cuckoo(t) => t.remove(mem, key),
-            ExactTable::CuckooPlusPlus(t) => t.remove(mem, key),
-            ExactTable::Emoma(t) => t.remove(mem, key),
-        }
+        on_table!(self, t => t.remove(mem, key))
     }
 
     fn lookup_traced(&self, mem: &SimMemory, key: &FlowKey, software_locking: bool) -> LookupTrace {
-        match self {
-            ExactTable::Cuckoo(t) => t.lookup_traced(mem, key, software_locking),
-            ExactTable::CuckooPlusPlus(t) => t.lookup_traced(mem, key, software_locking),
-            ExactTable::Emoma(t) => t.lookup_traced(mem, key, software_locking),
-        }
+        on_table!(self, t => t.lookup_traced(mem, key, software_locking))
     }
 
     fn prefetch(&self, mem: &SimMemory, key: &FlowKey) {
-        match self {
-            ExactTable::Cuckoo(t) => FlowTable::prefetch(t, mem, key),
-            ExactTable::CuckooPlusPlus(t) => FlowTable::prefetch(t, mem, key),
-            ExactTable::Emoma(t) => FlowTable::prefetch(t, mem, key),
-        }
+        on_table!(self, t => FlowTable::prefetch(t, mem, key));
     }
 
     fn warm_lines(&self) -> Vec<Addr> {

@@ -26,17 +26,18 @@
 //! * a failed insert rolls the whole cascade back through an undo log,
 //!   so the table is never left mid-displacement.
 //!
-//! The structure mirrors [`CuckooTable`](crate::CuckooTable) in memory
-//! (same DPDK bucket/kv layout, so HALO's accelerator dispatch works
-//! unchanged); only the steering filter and its control-plane shadow
-//! state are new.
+//! The table embeds the same storage skeleton as
+//! [`CuckooTable`](crate::CuckooTable) (same DPDK bucket/kv layout, so
+//! HALO's accelerator dispatch works unchanged); only the steering
+//! filter and its control-plane shadow state are its own.
 
 use crate::cuckoo::TableFullError;
-use crate::hash::{bucket_pair, hash_key, signature, SEED_PRIMARY};
+use crate::hash::{bucket_pair, bucket_pair_and_signature, hash_key};
 use crate::key::FlowKey;
-use crate::layout::{allocate_table, TableMeta, ENTRIES_PER_BUCKET};
+use crate::layout::ENTRIES_PER_BUCKET;
+use crate::skeleton::{skeleton_accessors, PendingMove, Skeleton};
 use crate::trace::{LookupTrace, TraceStep};
-use halo_mem::{Addr, SimMemory};
+use halo_mem::SimMemory;
 
 /// Seeds of the two counting-Bloom-filter hash functions.
 const CBF_SEED_A: u64 = 0x5EED_00CB;
@@ -80,22 +81,6 @@ enum Undo {
     Claim { slot: u32 },
 }
 
-/// A two-phase EMOMA relocation between `begin` and `commit`/`abort`.
-///
-/// As with [`PendingMove`](crate::PendingMove), the entry is *copied*
-/// to the destination bucket first and the steering filter is adjusted
-/// at `begin`, so the (single!) bucket the filter steers lookups to
-/// always holds the key. Only lookups may run while a move is pending.
-#[derive(Debug, Clone, Copy)]
-#[must_use = "a pending move must be committed or aborted"]
-pub struct EmomaPendingMove {
-    src: (u64, usize),
-    dst: (u64, usize),
-    slot: u32,
-    /// Direction: `true` for primary→secondary.
-    to_secondary: bool,
-}
-
 /// A counting-Bloom-filter-steered cuckoo hash table (EMOMA).
 ///
 /// # Examples
@@ -116,12 +101,7 @@ pub struct EmomaPendingMove {
 /// ```
 #[derive(Debug)]
 pub struct EmomaTable {
-    meta_addr: Addr,
-    meta: TableMeta,
-    /// Optimistic-lock version counter line (software locking model).
-    version_addr: Addr,
-    free: Vec<u32>,
-    len: usize,
+    store: Skeleton,
     /// The on-chip counting Bloom filter. Deliberately **not** placed
     /// in simulated memory: the paper's point is that the filter is
     /// small enough for SRAM, so querying it costs no memory access.
@@ -132,7 +112,6 @@ pub struct EmomaTable {
     tracked: Vec<Vec<u32>>,
     /// Control plane: residency of each kv slot (free/primary/secondary).
     residency: Vec<u8>,
-    moves_in_flight: usize,
 }
 
 impl EmomaTable {
@@ -144,97 +123,18 @@ impl EmomaTable {
     /// Panics if `buckets` is not a power of two or `key_len` is out of
     /// range.
     pub fn create(mem: &mut SimMemory, buckets: u64, key_len: usize) -> Self {
-        let (meta_addr, meta) = allocate_table(mem, buckets, key_len);
-        let version_addr = mem.alloc_lines(64);
+        let store = Skeleton::create(mem, buckets, key_len);
         let slots = (buckets as usize) * ENTRIES_PER_BUCKET;
-        let free = (0..slots as u32).rev().collect();
         let cbf_len = (buckets as usize) * CBF_PER_BUCKET;
         EmomaTable {
-            meta_addr,
-            meta,
-            version_addr,
-            free,
-            len: 0,
+            store,
             cbf: vec![0; cbf_len],
             tracked: vec![Vec::new(); cbf_len],
             residency: vec![RES_FREE; slots],
-            moves_in_flight: 0,
         }
     }
 
-    /// Sizes a table for `flows` entries at `occupancy` and creates it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `occupancy` is not in `(0, 1]`.
-    pub fn with_capacity_for(
-        mem: &mut SimMemory,
-        flows: usize,
-        occupancy: f64,
-        key_len: usize,
-    ) -> Self {
-        assert!(occupancy > 0.0 && occupancy <= 1.0);
-        let slots_needed = (flows as f64 / occupancy).ceil() as u64;
-        let buckets = (slots_needed / ENTRIES_PER_BUCKET as u64)
-            .max(1)
-            .next_power_of_two();
-        EmomaTable::create(mem, buckets, key_len)
-    }
-
-    /// The table's metadata-line address.
-    #[must_use]
-    pub fn meta_addr(&self) -> Addr {
-        self.meta_addr
-    }
-
-    /// The table layout.
-    #[must_use]
-    pub fn meta(&self) -> &TableMeta {
-        &self.meta
-    }
-
-    /// Address of the optimistic-lock version counter.
-    #[must_use]
-    pub fn version_addr(&self) -> Addr {
-        self.version_addr
-    }
-
-    /// Number of installed entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the table is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total entry capacity (`buckets * 8`).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.meta.buckets as usize * ENTRIES_PER_BUCKET
-    }
-
-    /// Current occupancy in `[0, 1]`.
-    #[must_use]
-    pub fn occupancy(&self) -> f64 {
-        self.len as f64 / self.capacity() as f64
-    }
-
-    /// Number of unclaimed key-value slots (`len + free_slots ==
-    /// capacity` is an audited invariant).
-    #[must_use]
-    pub fn free_slots(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Two-phase moves currently between `begin` and `commit`/`abort`.
-    #[must_use]
-    pub fn moves_in_flight(&self) -> usize {
-        self.moves_in_flight
-    }
+    skeleton_accessors!();
 
     /// The key's two counting-Bloom-filter counter indices (equal
     /// indices are possible and handled consistently on both the
@@ -277,27 +177,11 @@ impl EmomaTable {
         &self.tracked[i]
     }
 
-    fn check_key(&self, key: &FlowKey) {
-        assert_eq!(key.len(), self.meta.key_len as usize, "key length mismatch");
-    }
-
-    fn bump_version(&self, mem: &mut SimMemory) {
-        let v = mem.read_u64(self.version_addr);
-        mem.write_u64(self.version_addr, v.wrapping_add(1));
-    }
-
-    /// Bucket the filter steers this key's single probe to.
-    fn steer(&self, key: &FlowKey) -> u64 {
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        if self.cbf_positive(key) {
-            b2
-        } else {
-            b1
-        }
-    }
-
-    fn free_entry(&self, mem: &mut SimMemory, b: u64) -> Option<usize> {
-        (0..ENTRIES_PER_BUCKET).find(|&e| self.meta.read_entry(mem, b, e).0 == 0)
+    /// Bucket the filter steers this key's single probe to, and the
+    /// key's signature.
+    fn steer(&self, key: &FlowKey) -> (u64, u16) {
+        let (b1, b2, sig) = bucket_pair_and_signature(key, self.store.meta.buckets);
+        (if self.cbf_positive(key) { b2 } else { b1 }, sig)
     }
 
     // ---- logged primitive mutations -------------------------------
@@ -311,25 +195,25 @@ impl EmomaTable {
         idx: u32,
         ops: &mut Vec<Undo>,
     ) {
-        let (ps, pi) = self.meta.read_entry(mem, b, e);
+        let (ps, pi) = self.store.meta.read_entry(mem, b, e);
         ops.push(Undo::Entry {
             b,
             e,
             sig: ps,
             idx: pi,
         });
-        self.meta.write_entry(mem, b, e, sig, idx);
+        self.store.meta.write_entry(mem, b, e, sig, idx);
     }
 
     fn clear_entry_logged(&mut self, mem: &mut SimMemory, b: u64, e: usize, ops: &mut Vec<Undo>) {
-        let (ps, pi) = self.meta.read_entry(mem, b, e);
+        let (ps, pi) = self.store.meta.read_entry(mem, b, e);
         ops.push(Undo::Entry {
             b,
             e,
             sig: ps,
             idx: pi,
         });
-        self.meta.clear_entry(mem, b, e);
+        self.store.meta.clear_entry(mem, b, e);
     }
 
     fn set_residency(&mut self, slot: u32, r: u8, ops: &mut Vec<Undo>) {
@@ -362,7 +246,7 @@ impl EmomaTable {
     fn rollback_to(&mut self, mem: &mut SimMemory, ops: &mut Vec<Undo>, mark: usize) {
         while ops.len() > mark {
             match ops.pop().expect("ops non-empty above mark") {
-                Undo::Entry { b, e, sig, idx } => self.meta.write_entry(mem, b, e, sig, idx),
+                Undo::Entry { b, e, sig, idx } => self.store.meta.write_entry(mem, b, e, sig, idx),
                 Undo::CbfInc { i } => {
                     debug_assert!(self.cbf[i] > 0);
                     self.cbf[i] -= 1;
@@ -377,8 +261,8 @@ impl EmomaTable {
                 Undo::TrackRemove { i, slot } => self.tracked[i].push(slot),
                 Undo::Residency { slot, prev } => self.residency[slot as usize] = prev,
                 Undo::Claim { slot } => {
-                    self.meta.clear_kv(mem, slot);
-                    self.free.push(slot);
+                    self.store.meta.clear_kv(mem, slot);
+                    self.store.free.push(slot);
                 }
             }
         }
@@ -412,9 +296,9 @@ impl EmomaTable {
                 if self.residency[slot as usize] != RES_PRIMARY {
                     continue; // already cascaded away (or removed twin)
                 }
-                let k = self.meta.read_kv_key(mem, slot);
+                let k = self.store.meta.read_kv_key(mem, slot);
                 if self.cbf_positive(&k) {
-                    self.displace_to_secondary(mem, slot, ops, budget)?;
+                    self.relocate_to_secondary(mem, slot, ops, budget)?;
                 }
             }
         }
@@ -446,7 +330,7 @@ impl EmomaTable {
     /// Relocates the primary-resident key in kv `slot` to its secondary
     /// bucket (duplicate-then-delete), raising the filter and cascading
     /// further relocations as needed.
-    fn displace_to_secondary(
+    fn relocate_to_secondary(
         &mut self,
         mem: &mut SimMemory,
         slot: u32,
@@ -457,20 +341,21 @@ impl EmomaTable {
             return Err(TableFullError);
         }
         *budget -= 1;
-        let key = self.meta.read_kv_key(mem, slot);
-        let (k1, k2) = bucket_pair(&key, self.meta.buckets);
+        let key = self.store.meta.read_kv_key(mem, slot);
+        let (k1, k2) = bucket_pair(&key, self.store.meta.buckets);
         let e1 = (0..ENTRIES_PER_BUCKET)
             .find(|&e| {
-                self.meta.read_entry(mem, k1, e).1 == slot && {
-                    self.meta.read_entry(mem, k1, e).0 != 0
+                self.store.meta.read_entry(mem, k1, e).1 == slot && {
+                    self.store.meta.read_entry(mem, k1, e).0 != 0
                 }
             })
             .expect("primary-resident slot has a primary bucket entry");
         self.make_room(mem, k2, ops, budget)?;
         let e2 = self
+            .store
             .free_entry(mem, k2)
             .expect("make_room produced a free entry");
-        let (sig, _) = self.meta.read_entry(mem, k1, e1);
+        let (sig, _) = self.store.meta.read_entry(mem, k1, e1);
         self.set_entry(mem, k2, e2, sig, slot, ops);
         self.clear_entry_logged(mem, k1, e1, ops);
         self.set_residency(slot, RES_SECONDARY, ops);
@@ -489,16 +374,16 @@ impl EmomaTable {
         ops: &mut Vec<Undo>,
         budget: &mut usize,
     ) -> Result<(), TableFullError> {
-        if self.free_entry(mem, b).is_some() {
+        if self.store.free_entry(mem, b).is_some() {
             return Ok(());
         }
         for e in 0..ENTRIES_PER_BUCKET {
-            let (s, idx) = self.meta.read_entry(mem, b, e);
+            let (s, idx) = self.store.meta.read_entry(mem, b, e);
             if s == 0 || self.residency[idx as usize] != RES_PRIMARY {
                 continue;
             }
             let mark = ops.len();
-            match self.displace_to_secondary(mem, idx, ops, budget) {
+            match self.relocate_to_secondary(mem, idx, ops, budget) {
                 Ok(()) => return Ok(()),
                 Err(e) => {
                     self.rollback_to(mem, ops, mark);
@@ -528,25 +413,21 @@ impl EmomaTable {
         key: &FlowKey,
         value: u64,
     ) -> Result<(), TableFullError> {
-        self.check_key(key);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
+        self.store.check_key(key);
         // Update in place if present: the steering invariant makes the
         // steered bucket the only place the key can live.
-        let b = self.steer(key);
-        for e in 0..ENTRIES_PER_BUCKET {
-            let (s, idx) = self.meta.read_entry(mem, b, e);
-            if s == sig && self.meta.read_kv_key(mem, idx) == *key {
-                self.meta.write_kv_value(mem, idx, value);
-                return Ok(());
-            }
+        let (b, sig) = self.steer(key);
+        if let Some((_, idx)) = self.store.find(mem, b, sig, key) {
+            self.store.meta.write_kv_value(mem, idx, value);
+            return Ok(());
         }
 
         let mut ops = Vec::new();
         let mut budget = MAX_CASCADE_STEPS;
         match self.insert_new(mem, key, value, sig, &mut ops, &mut budget) {
             Ok(()) => {
-                self.len += 1;
-                self.bump_version(mem);
+                self.store.len += 1;
+                self.store.bump_version(mem);
                 Ok(())
             }
             Err(e) => {
@@ -565,12 +446,12 @@ impl EmomaTable {
         ops: &mut Vec<Undo>,
         budget: &mut usize,
     ) -> Result<(), TableFullError> {
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        let Some(slot) = self.free.pop() else {
+        let (b1, b2) = bucket_pair(key, self.store.meta.buckets);
+        let Some(slot) = self.store.free.pop() else {
             return Err(TableFullError);
         };
         ops.push(Undo::Claim { slot });
-        self.meta.write_kv(mem, slot, key, value);
+        self.store.meta.write_kv(mem, slot, key, value);
 
         // Preferred placement: the primary bucket, iff the key is
         // CBF-negative (keeping the filter cold keeps future cascades
@@ -579,10 +460,11 @@ impl EmomaTable {
         // fall through to the secondary path.
         if !self.cbf_positive(key) {
             let mark = ops.len();
-            let roomed =
-                self.free_entry(mem, b1).is_some() || self.make_room(mem, b1, ops, budget).is_ok();
+            let roomed = self.store.free_entry(mem, b1).is_some()
+                || self.make_room(mem, b1, ops, budget).is_ok();
             if roomed && !self.cbf_positive(key) {
                 let e = self
+                    .store
                     .free_entry(mem, b1)
                     .expect("primary bucket has a free entry");
                 self.set_entry(mem, b1, e, sig, slot, ops);
@@ -599,6 +481,7 @@ impl EmomaTable {
         // its cascade of fixups) so the steering finds the key there.
         self.make_room(mem, b2, ops, budget)?;
         let e = self
+            .store
             .free_entry(mem, b2)
             .expect("make_room produced a free entry");
         self.set_entry(mem, b2, e, sig, slot, ops);
@@ -606,15 +489,9 @@ impl EmomaTable {
         self.cbf_raise(mem, key, ops, budget)
     }
 
-    /// Functional lookup.
-    #[must_use]
-    pub fn lookup(&self, mem: &SimMemory, key: &FlowKey) -> Option<u64> {
-        self.lookup_traced(mem, key, false).result
-    }
-
     /// Lookup recording the ordered memory/compute steps taken: one
     /// extra `Hash` compute step for the on-chip filter query, then
-    /// exactly **one** `LoadBucket` — the bucket the filter steers to.
+    /// exactly **one** bucket scan — the bucket the filter steers to.
     #[must_use]
     pub fn lookup_traced(
         &self,
@@ -622,39 +499,21 @@ impl EmomaTable {
         key: &FlowKey,
         software_locking: bool,
     ) -> LookupTrace {
-        self.check_key(key);
+        let store = &self.store;
+        store.check_key(key);
         let mut steps = Vec::with_capacity(10);
-        steps.push(TraceStep::LoadMeta(self.meta_addr));
+        steps.push(TraceStep::LoadMeta(store.meta_addr));
         if software_locking {
-            steps.push(TraceStep::SoftLock(self.version_addr));
+            steps.push(TraceStep::SoftLock(store.version_addr));
         }
         steps.push(TraceStep::Hash);
         // The CBF query: two more hash computations against SRAM-held
         // counters — compute cost, no memory step.
         steps.push(TraceStep::Hash);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
-        let b = self.steer(key);
-
-        let mut result = None;
-        steps.push(TraceStep::LoadBucket(self.meta.bucket_addr(b)));
-        steps.push(TraceStep::CompareSigs);
-        for e in 0..ENTRIES_PER_BUCKET {
-            let (s, idx) = self.meta.read_entry(mem, b, e);
-            if s == sig {
-                let kv = self.meta.kv_addr(idx);
-                steps.push(TraceStep::LoadKv(kv));
-                if self.meta.kv_slot > 64 {
-                    steps.push(TraceStep::LoadKv(kv + 64));
-                }
-                steps.push(TraceStep::CompareKey);
-                if self.meta.read_kv_key(mem, idx) == *key {
-                    result = Some(self.meta.read_kv_value(mem, idx));
-                    break;
-                }
-            }
-        }
+        let (b, sig) = self.steer(key);
+        let result = store.scan_traced(mem, b, sig, key, &mut steps);
         if software_locking {
-            steps.push(TraceStep::SoftLock(self.version_addr));
+            steps.push(TraceStep::SoftLock(store.version_addr));
         }
         LookupTrace { result, steps }
     }
@@ -664,42 +523,30 @@ impl EmomaTable {
     /// (asserting they never underflow); a removal from the primary
     /// bucket drops the slot from the cascade-tracking lists.
     pub fn remove(&mut self, mem: &mut SimMemory, key: &FlowKey) -> Option<u64> {
-        self.check_key(key);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
-        let b = self.steer(key);
-        for e in 0..ENTRIES_PER_BUCKET {
-            let (s, idx) = self.meta.read_entry(mem, b, e);
-            if s == sig && self.meta.read_kv_key(mem, idx) == *key {
-                let v = self.meta.read_kv_value(mem, idx);
-                self.meta.clear_entry(mem, b, e);
-                self.meta.clear_kv(mem, idx);
-                match self.residency[idx as usize] {
-                    RES_SECONDARY => self.cbf_lower(key),
-                    RES_PRIMARY => {
-                        let mut scratch = Vec::new();
-                        self.track_remove(key, idx, &mut scratch);
-                    }
-                    r => panic!("removing a slot with residency {r}"),
-                }
-                self.residency[idx as usize] = RES_FREE;
-                self.free.push(idx);
-                self.len -= 1;
-                self.bump_version(mem);
-                return Some(v);
+        self.store.check_key(key);
+        let (b, sig) = self.steer(key);
+        let (e, idx) = self.store.find(mem, b, sig, key)?;
+        match self.residency[idx as usize] {
+            RES_SECONDARY => self.cbf_lower(key),
+            RES_PRIMARY => {
+                let mut scratch = Vec::new();
+                self.track_remove(key, idx, &mut scratch);
             }
+            r => panic!("removing a slot with residency {r}"),
         }
-        None
+        self.residency[idx as usize] = RES_FREE;
+        Some(self.store.release(mem, b, e, idx))
     }
 
-    /// One-shot displacement of `key` to its other bucket (two-phase
-    /// `begin` + `commit`). Returns `true` on success; `false` when the
-    /// key is absent, the target bucket is full, or — for a
-    /// secondary→primary move — other keys keep its filter counters
-    /// positive, which would strand it if it moved home.
-    pub fn displace(&mut self, mem: &mut SimMemory, key: &FlowKey) -> bool {
-        match self.move_begin(mem, key) {
+    /// One-shot move of `key` to its other bucket (two-phase `begin` +
+    /// `commit`). Returns `true` on success; `false` when the key is
+    /// absent, the target bucket is full, or — for a secondary→primary
+    /// move — other keys keep its filter counters positive, which would
+    /// strand it if it moved home.
+    pub fn cuckoo_move(&mut self, mem: &mut SimMemory, key: &FlowKey) -> bool {
+        match self.cuckoo_move_begin(mem, key) {
             Some(mv) => {
-                self.move_commit(mem, mv);
+                self.cuckoo_move_commit(mem, mv);
                 true
             }
             None => false,
@@ -711,22 +558,17 @@ impl EmomaTable {
     /// destination copy throughout the window. Returns `None` when the
     /// move is impossible (absent key, full target bucket, steering
     /// would strand the key, or the fixup cascade failed).
-    pub fn move_begin(&mut self, mem: &mut SimMemory, key: &FlowKey) -> Option<EmomaPendingMove> {
-        self.check_key(key);
-        let sig = signature(hash_key(key, SEED_PRIMARY));
-        let (b1, b2) = bucket_pair(key, self.meta.buckets);
-        let b = self.steer(key);
-        let found = (0..ENTRIES_PER_BUCKET).find(|&e| {
-            let (s, idx) = self.meta.read_entry(mem, b, e);
-            s == sig && self.meta.read_kv_key(mem, idx) == *key
-        })?;
-        let (_, slot) = self.meta.read_entry(mem, b, found);
+    pub fn cuckoo_move_begin(&mut self, mem: &mut SimMemory, key: &FlowKey) -> Option<PendingMove> {
+        self.store.check_key(key);
+        let (b1, b2) = bucket_pair(key, self.store.meta.buckets);
+        let (b, sig) = self.steer(key);
+        let (found, slot) = self.store.find(mem, b, sig, key)?;
 
         if self.residency[slot as usize] == RES_PRIMARY {
             // primary→secondary: copy out, raise the filter (cascading
             // fixups run inside the begin, scoped so failure undoes
             // everything and refuses the move).
-            let ae = self.free_entry(mem, b2)?;
+            let ae = self.store.free_entry(mem, b2)?;
             let mut ops = Vec::new();
             let mut budget = MAX_CASCADE_STEPS;
             self.set_entry(mem, b2, ae, sig, slot, &mut ops);
@@ -736,8 +578,8 @@ impl EmomaTable {
                 self.rollback_to(mem, &mut ops, 0);
                 return None;
             }
-            self.moves_in_flight += 1;
-            Some(EmomaPendingMove {
+            self.store.moves_in_flight += 1;
+            Some(PendingMove {
                 src: (b1, found),
                 dst: (b2, ae),
                 slot,
@@ -753,16 +595,16 @@ impl EmomaTable {
                 self.cbf_raise_raw(key);
                 return None;
             }
-            let Some(ae) = self.free_entry(mem, b1) else {
+            let Some(ae) = self.store.free_entry(mem, b1) else {
                 self.cbf_raise_raw(key);
                 return None;
             };
-            self.meta.write_entry(mem, b1, ae, sig, slot);
+            self.store.meta.write_entry(mem, b1, ae, sig, slot);
             self.residency[slot as usize] = RES_PRIMARY;
             let mut scratch = Vec::new();
             self.track_add(key, slot, &mut scratch);
-            self.moves_in_flight += 1;
-            Some(EmomaPendingMove {
+            self.store.moves_in_flight += 1;
+            Some(PendingMove {
                 src: (b2, found),
                 dst: (b1, ae),
                 slot,
@@ -773,10 +615,8 @@ impl EmomaTable {
 
     /// Completes a two-phase move: clears the source entry (the filter
     /// and control-plane state already reflect the destination).
-    pub fn move_commit(&mut self, mem: &mut SimMemory, mv: EmomaPendingMove) {
-        self.meta.clear_entry(mem, mv.src.0, mv.src.1);
-        self.bump_version(mem);
-        self.moves_in_flight -= 1;
+    pub fn cuckoo_move_commit(&mut self, mem: &mut SimMemory, mv: PendingMove) {
+        self.store.commit_move(mem, mv);
     }
 
     /// Rolls a two-phase move back: clears the destination copy and
@@ -787,44 +627,29 @@ impl EmomaTable {
     /// secondary bucket; the table remains fully consistent either
     /// way). Valid only if no inserts/removes ran during the window,
     /// the same exclusion the hardware lock bit provides.
-    pub fn move_abort(&mut self, mem: &mut SimMemory, mv: EmomaPendingMove) {
-        let key = self.meta.read_kv_key(mem, mv.slot);
+    pub fn cuckoo_move_abort(&mut self, mem: &mut SimMemory, mv: PendingMove) {
+        let key = self.store.meta.read_kv_key(mem, mv.slot);
         if mv.to_secondary {
             self.cbf_lower(&key);
             if self.cbf_positive(&key) {
                 // Other contributions keep the steering on b2: finish
                 // the move rather than strand the key in b1.
                 self.cbf_raise_raw(&key);
-                self.meta.clear_entry(mem, mv.src.0, mv.src.1);
-                self.bump_version(mem);
-                self.moves_in_flight -= 1;
+                self.store.commit_move(mem, mv);
                 return;
             }
-            self.meta.clear_entry(mem, mv.dst.0, mv.dst.1);
+            self.store.meta.clear_entry(mem, mv.dst.0, mv.dst.1);
             self.residency[mv.slot as usize] = RES_PRIMARY;
             let mut scratch = Vec::new();
             self.track_add(&key, mv.slot, &mut scratch);
         } else {
-            self.meta.clear_entry(mem, mv.dst.0, mv.dst.1);
+            self.store.meta.clear_entry(mem, mv.dst.0, mv.dst.1);
             self.residency[mv.slot as usize] = RES_SECONDARY;
             let mut scratch = Vec::new();
             self.track_remove(&key, mv.slot, &mut scratch);
             self.cbf_raise_raw(&key);
         }
-        self.moves_in_flight -= 1;
-    }
-
-    /// All addresses of lines an ideal prefetcher would warm: metadata,
-    /// every bucket line, every kv line. The CBF is on-chip and has no
-    /// memory lines.
-    pub fn all_lines(&self) -> impl Iterator<Item = Addr> + '_ {
-        let meta = self.meta_addr;
-        let version = self.version_addr;
-        let buckets = (0..self.meta.buckets).map(move |b| self.meta.bucket_addr(b));
-        let kv_lines = self.meta.buckets * ENTRIES_PER_BUCKET as u64 * u64::from(self.meta.kv_slot)
-            / halo_mem::CACHE_LINE;
-        let kv = (0..kv_lines).map(move |i| self.meta.kv_base + i * halo_mem::CACHE_LINE);
-        [meta, version].into_iter().chain(buckets).chain(kv)
+        self.store.moves_in_flight -= 1;
     }
 }
 
@@ -969,7 +794,7 @@ mod tests {
     /// (the decrements assert) nor strand a key unreachable, and the
     /// filter must equal its recomputation from scratch at every step.
     #[test]
-    fn displacement_storm_never_underflows_or_strands() {
+    fn move_storm_never_underflows_or_strands() {
         use crate::hash::bucket_pair as bp;
         let buckets = 32;
         let (mut mem, mut t) = setup(buckets); // 256 slots
@@ -995,7 +820,7 @@ mod tests {
                         _ => unreachable!(),
                     }
                 };
-                if t.displace(&mut mem, &k) {
+                if t.cuckoo_move(&mut mem, &k) {
                     if was_primary {
                         displaced += 1;
                     } else {
@@ -1035,12 +860,12 @@ mod tests {
         let (mut mem, mut t) = setup(64);
         let k = FlowKey::synthetic(5, 13);
         t.insert(&mut mem, &k, 7).unwrap();
-        let mv = t.move_begin(&mut mem, &k).expect("move possible");
+        let mv = t.cuckoo_move_begin(&mut mem, &k).expect("move possible");
         assert_eq!(t.moves_in_flight(), 1);
         let tr = t.lookup_traced(&mem, &k, false);
         assert_eq!(tr.result, Some(7), "mid-move lookup failed");
         assert_eq!(bucket_loads(&tr), 1, "mid-move lookup not single-access");
-        t.move_commit(&mut mem, mv);
+        t.cuckoo_move_commit(&mut mem, mv);
         assert_eq!(t.moves_in_flight(), 0);
         assert_eq!(t.lookup(&mem, &k), Some(7));
         check_filter_exact(&t, &mut mem);
@@ -1052,17 +877,19 @@ mod tests {
         let k = FlowKey::synthetic(5, 13);
         t.insert(&mut mem, &k, 7).unwrap();
         let before: Vec<u16> = t.cbf_counters().to_vec();
-        let mv = t.move_begin(&mut mem, &k).expect("move possible");
+        let mv = t.cuckoo_move_begin(&mut mem, &k).expect("move possible");
         assert_eq!(t.lookup(&mem, &k), Some(7));
-        t.move_abort(&mut mem, mv);
+        t.cuckoo_move_abort(&mut mem, mv);
         assert_eq!(t.moves_in_flight(), 0);
         assert_eq!(t.lookup(&mem, &k), Some(7));
         assert_eq!(t.cbf_counters(), &before[..], "abort did not restore CBF");
         check_filter_exact(&t, &mut mem);
         // Round trip: displace then move home then abort that too.
-        assert!(t.displace(&mut mem, &k));
-        let mv = t.move_begin(&mut mem, &k).expect("move home possible");
-        t.move_abort(&mut mem, mv);
+        assert!(t.cuckoo_move(&mut mem, &k));
+        let mv = t
+            .cuckoo_move_begin(&mut mem, &k)
+            .expect("move home possible");
+        t.cuckoo_move_abort(&mut mem, mv);
         assert_eq!(t.lookup(&mem, &k), Some(7));
         check_filter_exact(&t, &mut mem);
     }

@@ -174,6 +174,22 @@ impl TableMeta {
     }
 }
 
+/// Bucket count (a power of two) that holds `flows` entries at
+/// `occupancy` (e.g. 0.9): the one sizing rule of every cuckoo-family
+/// table, so ablations compare equal-capacity tables.
+///
+/// # Panics
+///
+/// Panics if `occupancy` is not in `(0, 1]`.
+#[must_use]
+pub fn buckets_for(flows: usize, occupancy: f64) -> u64 {
+    assert!(occupancy > 0.0 && occupancy <= 1.0);
+    let slots_needed = (flows as f64 / occupancy).ceil() as u64;
+    (slots_needed / ENTRIES_PER_BUCKET as u64)
+        .max(1)
+        .next_power_of_two()
+}
+
 /// Allocates a table layout in `mem` and returns its metadata (already
 /// stored at `meta_addr`).
 ///

@@ -5,11 +5,15 @@
 //! separate key-value array, each bucket aligned to one cache line), the
 //! single-function-hash [`SfhTable`] baseline of §3.3, and two
 //! literature variants that change exactly the access pattern the
-//! simulator models: [`CuckooPlusPlusTable`] (per-bucket presence
-//! filters kill the secondary probe on negative lookups) and
+//! simulator models, each written as "the cuckoo table plus one
+//! filter": Cuckoo++ ([`CuckooTable::with_presence_filter`]: per-bucket
+//! presence filters kill the secondary probe on negative lookups) and
 //! [`EmomaTable`] (an on-chip counting Bloom filter steers every lookup
-//! to a single bucket access). All are laid out in simulated physical
-//! memory so the cache model observes the real access patterns.
+//! to a single bucket access). Both cuckoo-family tables embed one
+//! storage skeleton (layout, version line, free list, counters, bucket
+//! scans) and share one [`PendingMove`]. All tables are laid out in
+//! simulated physical memory so the cache model observes the real
+//! access patterns.
 //!
 //! Lookups can be *traced* ([`LookupTrace`]): the ordered memory/compute
 //! steps are the common contract consumed by the software core model
@@ -36,7 +40,6 @@
 #![warn(missing_debug_implementations)]
 
 mod cuckoo;
-mod cuckoo_pp;
 mod emoma;
 mod flowtable;
 mod hash;
@@ -44,14 +47,15 @@ mod key;
 mod layout;
 mod path;
 mod sfh;
+mod skeleton;
 mod trace;
 
-pub use cuckoo::{CuckooTable, PendingMove, TableFullError};
-pub use cuckoo_pp::{CuckooPlusPlusTable, PendingMovePp, FILTER_OFF, FILTER_SLOTS};
-pub use emoma::{EmomaPendingMove, EmomaTable};
+pub use cuckoo::{CuckooTable, TableFullError, FILTER_OFF, FILTER_SLOTS};
+pub use emoma::EmomaTable;
 pub use flowtable::FlowTable;
 pub use hash::{bucket_pair, hash_key, signature, SEED_PRIMARY, SEED_SECONDARY};
 pub use key::{FlowKey, MAX_KEY_LEN};
-pub use layout::{allocate_table, TableMeta, ENTRIES_PER_BUCKET};
+pub use layout::{allocate_table, buckets_for, TableMeta, ENTRIES_PER_BUCKET};
 pub use sfh::{BucketFullError, SfhTable};
+pub use skeleton::PendingMove;
 pub use trace::{LookupTrace, TraceStep};

@@ -1,12 +1,10 @@
-//! Breadth-first cuckoo displacement-path search, shared by the
-//! [`CuckooTable`](crate::CuckooTable) baseline and the
-//! [`CuckooPlusPlusTable`](crate::CuckooPlusPlusTable) variant.
+//! Breadth-first cuckoo displacement-path search for
+//! [`CuckooTable`](crate::CuckooTable) inserts.
 //!
-//! The search itself only reads bucket entries and resident keys; what
-//! differs between backends is the bookkeeping applied while *shifting*
-//! residents along the found path (Cuckoo++ additionally maintains its
-//! per-bucket presence filters), so the shift loops stay in the
-//! backends.
+//! The search itself only reads bucket entries and resident keys; the
+//! bookkeeping applied while *shifting* residents along the found path
+//! (a Cuckoo++ table also maintains its presence filters) stays in the
+//! table.
 
 use crate::hash::bucket_pair;
 use crate::layout::{TableMeta, ENTRIES_PER_BUCKET};

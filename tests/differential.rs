@@ -7,10 +7,10 @@
 //! the invariant auditor after every op.
 
 use halo_nfv::check::{
-    buggy_cuckoo_driver, cuckoo_driver, cuckoo_pp_driver, emoma_driver, engine_driver,
-    kvstore_driver, run_differential, run_fault_injection, sfh_driver, tcam_driver, FaultBackend,
-    FaultConfig,
+    buggy_cuckoo_driver, engine_driver, exact_driver, kvstore_driver, run_differential,
+    run_fault_injection, sfh_driver, tcam_driver, FaultConfig,
 };
+use halo_nfv::datapath::TableBackend;
 use halo_nfv::sim::point_seed;
 
 const CASES: u64 = if cfg!(feature = "slow-tests") { 48 } else { 8 };
@@ -23,7 +23,7 @@ const OPS: usize = if cfg!(feature = "slow-tests") {
 #[test]
 fn cuckoo_agrees_with_oracle() {
     run_differential("differential.cuckoo", CASES, OPS, 2048, |ops| {
-        cuckoo_driver(ops)
+        exact_driver(TableBackend::Cuckoo, ops)
     })
     .unwrap_or_else(|t| panic!("{t}"));
 }
@@ -35,7 +35,7 @@ fn cuckoo_agrees_with_oracle() {
 #[test]
 fn cuckoo_pp_agrees_with_oracle() {
     run_differential("differential.cuckoo_pp", CASES, OPS, 2048, |ops| {
-        cuckoo_pp_driver(ops)
+        exact_driver(TableBackend::CuckooPlusPlus, ops)
     })
     .unwrap_or_else(|t| panic!("{t}"));
 }
@@ -46,7 +46,7 @@ fn cuckoo_pp_agrees_with_oracle() {
 #[test]
 fn emoma_agrees_with_oracle() {
     run_differential("differential.emoma", CASES, OPS, 2048, |ops| {
-        emoma_driver(ops)
+        exact_driver(TableBackend::Emoma, ops)
     })
     .unwrap_or_else(|t| panic!("{t}"));
 }
@@ -130,7 +130,7 @@ fn fault_injection_passes_auditor() {
 #[test]
 fn fault_injection_passes_auditor_for_every_backend() {
     let seeds = if cfg!(feature = "slow-tests") { 3 } else { 1 };
-    for (i, backend) in FaultBackend::all().into_iter().enumerate() {
+    for (i, backend) in TableBackend::all().into_iter().enumerate() {
         for s in 0..seeds {
             let cfg = FaultConfig {
                 seed: point_seed("differential.fault.backends", i as u64 * 16 + s),
@@ -240,7 +240,7 @@ fn mutation_is_caught_and_shrunk() {
         "minimal trace must replay the failure"
     );
     assert_eq!(
-        cuckoo_driver(&trace.ops),
+        exact_driver(TableBackend::Cuckoo, &trace.ops),
         None,
         "the real table must pass the minimal trace"
     );
